@@ -1,7 +1,9 @@
 // M1 — micro-benchmarks (google-benchmark): simulator and coding throughput.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "baseline/decay.h"
 #include "coding/gf2.h"
@@ -190,26 +192,68 @@ static void BM_GstConstructionFastForward(benchmark::State& state) {
 }
 BENCHMARK(BM_GstConstructionFastForward)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
+// A full-rank decoder of batch size k (payload 32 bytes), as every relay
+// node is for most of a Theorem 1.2/1.3 run.
+static coding::gf2_decoder full_rank_decoder(std::size_t k) {
+  coding::gf2_decoder dec(k, 32);
+  for (std::size_t i = 0; i < k; ++i)
+    dec.insert(coding::gf2_vector::unit(k, i),
+               std::vector<std::uint8_t>(32, static_cast<std::uint8_t>(i)));
+  return dec;
+}
+
 static void BM_Gf2DecoderInsert(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   rng r(2);
-  coding::gf2_decoder src(k, 32);
-  for (std::size_t i = 0; i < k; ++i)
-    src.insert(coding::gf2_vector::unit(k, i),
-               std::vector<std::uint8_t>(32, static_cast<std::uint8_t>(i)));
+  const auto src = full_rank_decoder(k);
+  coding::gf2_vector coeffs;
+  std::vector<std::uint8_t> payload;
   for (auto _ : state) {
     state.PauseTiming();
     coding::gf2_decoder sink(k, 32);
     state.ResumeTiming();
     while (!sink.complete()) {
-      auto row = src.random_combination(r);
-      sink.insert(std::move(row.coeffs), std::move(row.payload));
+      src.random_combination_into(r, coeffs, payload);
+      sink.insert(coeffs, payload);
     }
     benchmark::DoNotOptimize(sink.rank());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(k));
 }
 BENCHMARK(BM_Gf2DecoderInsert)->Arg(8)->Arg(64)->Arg(256);
+
+// Cost per coded packet of an RLNC re-encode at full rank, written in place
+// into a reused slot (the relay's fresh-packet path).
+static void BM_RlncEncode(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const auto src = full_rank_decoder(k);
+  rng r(5);
+  coding::gf2_vector coeffs;
+  std::vector<std::uint8_t> payload;
+  for (auto _ : state) {
+    src.random_combination_into(r, coeffs, payload);
+    benchmark::DoNotOptimize(payload.data());
+    benchmark::DoNotOptimize(coeffs.words());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RlncEncode)->Arg(8)->Arg(64);
+
+// Cost per reception at a decoder that is already at full rank — the common
+// case of a relay run (the packet is dropped after the size checks).
+static void BM_RlncReceiveFullRank(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const auto src = full_rank_decoder(k);
+  auto sink = full_rank_decoder(k);
+  rng r(6);
+  coding::gf2_vector coeffs;
+  std::vector<std::uint8_t> payload;
+  src.random_combination_into(r, coeffs, payload);
+  for (auto _ : state) benchmark::DoNotOptimize(sink.insert(coeffs, payload));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RlncReceiveFullRank)->Arg(8)->Arg(64);
 
 static void BM_CentralizedGst(benchmark::State& state) {
   graph::layered_options lo;

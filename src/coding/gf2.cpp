@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 
 #include "common/check.h"
 
@@ -9,10 +10,47 @@ namespace rn::coding {
 
 namespace {
 constexpr std::size_t kWordBits = 64;
+
+std::size_t word_count_for(std::size_t bits) {
+  return (bits + kWordBits - 1) / kWordBits;
 }
 
+bool test_bit(const std::uint64_t* words, std::size_t i) {
+  return ((words[i / kWordBits] >> (i % kWordBits)) & 1ULL) != 0;
+}
+
+// dst ^= src & mask, for a mask of all zeros or all ones; the plain XORs
+// below pass an all-ones mask.
+void xor_words_masked(std::uint64_t* dst, const std::uint64_t* src,
+                      std::size_t n, std::uint64_t mask) {
+  for (std::size_t w = 0; w < n; ++w) dst[w] ^= src[w] & mask;
+}
+
+void xor_bytes_masked(std::uint8_t* dst, const std::uint8_t* src,
+                      std::size_t len, std::uint64_t mask) {
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    std::uint64_t a, b;
+    std::memcpy(&a, dst + i, 8);
+    std::memcpy(&b, src + i, 8);
+    a ^= b & mask;
+    std::memcpy(dst + i, &a, 8);
+  }
+  const auto byte_mask = static_cast<std::uint8_t>(mask);
+  for (; i < len; ++i) dst[i] ^= src[i] & byte_mask;
+}
+
+void xor_words(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
+  xor_words_masked(dst, src, n, ~std::uint64_t{0});
+}
+
+void xor_bytes(std::uint8_t* dst, const std::uint8_t* src, std::size_t len) {
+  xor_bytes_masked(dst, src, len, ~std::uint64_t{0});
+}
+}  // namespace
+
 gf2_vector::gf2_vector(std::size_t bits)
-    : bits_(bits), words_((bits + kWordBits - 1) / kWordBits, 0) {}
+    : bits_(bits), words_(word_count_for(bits), 0) {}
 
 gf2_vector gf2_vector::unit(std::size_t bits, std::size_t i) {
   RN_REQUIRE(i < bits, "unit vector index out of range");
@@ -44,6 +82,11 @@ void gf2_vector::set(std::size_t i, bool value) {
     words_[i / kWordBits] &= ~mask;
 }
 
+void gf2_vector::reset(std::size_t bits) {
+  bits_ = bits;
+  words_.assign(word_count_for(bits), 0);
+}
+
 void gf2_vector::add(const gf2_vector& other) {
   RN_REQUIRE(bits_ == other.bits_, "gf2 vector size mismatch");
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] ^= other.words_[i];
@@ -72,54 +115,84 @@ std::size_t gf2_vector::leading_bit() const {
 }
 
 gf2_decoder::gf2_decoder(std::size_t dimension, std::size_t payload_size)
-    : dimension_(dimension), payload_size_(payload_size) {
+    : dimension_(dimension),
+      words_(word_count_for(dimension)),
+      payload_size_(payload_size) {
   RN_REQUIRE(dimension >= 1, "decoder dimension must be >= 1");
 }
 
-void gf2_decoder::reduce(gf2_vector& c, std::vector<std::uint8_t>& p) const {
-  for (const auto& row : rows_) {
-    if (c.get(row.pivot)) {
-      c.add(row.coeffs);
-      xor_bytes(p, row.payload);
-    }
-  }
-}
-
-bool gf2_decoder::insert(gf2_vector coeffs, std::vector<std::uint8_t> payload) {
+bool gf2_decoder::insert(const gf2_vector& coeffs,
+                         const std::vector<std::uint8_t>& payload) {
   RN_REQUIRE(coeffs.size() == dimension_, "coefficient width mismatch");
   RN_REQUIRE(payload.size() == payload_size_, "payload size mismatch");
   if (complete()) return false;
-  reduce(coeffs, payload);
-  if (coeffs.is_zero()) return false;
-  const std::size_t pivot = coeffs.leading_bit();
-  // Eliminate the new pivot from existing rows to keep the basis reduced.
-  for (auto& row : rows_) {
-    if (row.coeffs.get(pivot)) {
-      row.coeffs.add(coeffs);
-      xor_bytes(row.payload, payload);
+  if (coeff_slab_.empty()) {
+    // First insert: size the slabs and scratch once, for the full rank.
+    coeff_slab_.assign(dimension_ * words_, 0);
+    payload_slab_.assign(dimension_ * payload_size_, 0);
+    pivots_.reserve(dimension_);
+    scratch_coeffs_.assign(words_, 0);
+    scratch_payload_.assign(payload_size_, 0);
+  }
+  // Reduce against the basis. The basis is fully reduced, so the rows to
+  // XOR in are exactly those whose pivot bit is set in the *input* row.
+  const std::uint64_t* in = coeffs.words();
+  std::uint64_t* c = scratch_coeffs_.data();
+  std::copy(in, in + words_, c);
+  for (const std::uint32_t p : pivots_)
+    if (test_bit(in, p)) xor_words(c, coeff_row(p), words_);
+  std::size_t pivot = dimension_;
+  for (std::size_t w = 0; w < words_; ++w) {
+    if (c[w] != 0) {
+      pivot = w * kWordBits + static_cast<std::size_t>(std::countr_zero(c[w]));
+      break;
     }
   }
-  row r{std::move(coeffs), std::move(payload), pivot};
-  const auto pos = std::lower_bound(
-      rows_.begin(), rows_.end(), pivot,
-      [](const row& a, std::size_t piv) { return a.pivot < piv; });
-  rows_.insert(pos, std::move(r));
-  pivots_used_ += 1;
+  if (pivot == dimension_) return false;  // in the span: payload untouched
+
+  std::uint8_t* pl = scratch_payload_.data();
+  std::copy(payload.begin(), payload.end(), pl);
+  for (const std::uint32_t p : pivots_)
+    if (test_bit(in, p)) xor_bytes(pl, payload_row(p), payload_size_);
+  // Eliminate the new pivot from existing rows to keep the basis reduced.
+  for (const std::uint32_t p : pivots_) {
+    std::uint64_t* row = coeff_slab_.data() + p * words_;
+    if (test_bit(row, pivot)) {
+      xor_words(row, c, words_);
+      xor_bytes(payload_slab_.data() + p * payload_size_, pl, payload_size_);
+    }
+  }
+  std::copy(c, c + words_, coeff_slab_.data() + pivot * words_);
+  std::copy(pl, pl + payload_size_,
+            payload_slab_.data() + pivot * payload_size_);
+  pivots_.insert(std::upper_bound(pivots_.begin(), pivots_.end(), pivot),
+                 static_cast<std::uint32_t>(pivot));
   return true;
 }
 
 bool gf2_decoder::in_span(const gf2_vector& coeffs) const {
   RN_REQUIRE(coeffs.size() == dimension_, "coefficient width mismatch");
-  gf2_vector c = coeffs;
-  for (const auto& row : rows_)
-    if (c.get(row.pivot)) c.add(row.coeffs);
-  return c.is_zero();
+  // Reduced basis: coeffs is in the span iff it equals the sum of the rows
+  // whose pivot bit it has set. Compare word by word.
+  const std::uint64_t* in = coeffs.words();
+  for (std::size_t w = 0; w < words_; ++w) {
+    std::uint64_t acc = in[w];
+    for (const std::uint32_t p : pivots_)
+      if (test_bit(in, p)) acc ^= coeff_row(p)[w];
+    if (acc != 0) return false;
+  }
+  return true;
 }
 
 bool gf2_decoder::infected_by(const gf2_vector& mu) const {
   RN_REQUIRE(mu.size() == dimension_, "coefficient width mismatch");
-  for (const auto& row : rows_)
-    if (row.coeffs.dot(mu)) return true;
+  const std::uint64_t* m = mu.words();
+  for (const std::uint32_t p : pivots_) {
+    const std::uint64_t* row = coeff_row(p);
+    std::uint64_t acc = 0;
+    for (std::size_t w = 0; w < words_; ++w) acc ^= row[w] & m[w];
+    if ((std::popcount(acc) & 1) != 0) return true;
+  }
   return false;
 }
 
@@ -127,37 +200,37 @@ std::vector<std::uint8_t> gf2_decoder::decode(std::size_t i) const {
   RN_REQUIRE(complete(), "decode requires full rank");
   RN_REQUIRE(i < dimension_, "message index out of range");
   // With a fully reduced basis of dimension d, rows are exactly the unit
-  // vectors; row with pivot i is e_i.
-  const auto& row = rows_[i];
-  RN_ASSERT(row.pivot == i);
-  RN_ASSERT(row.coeffs == gf2_vector::unit(dimension_, i));
-  return row.payload;
+  // vectors; the row with pivot i is e_i.
+  RN_ASSERT(std::equal(coeff_row(i), coeff_row(i) + words_,
+                       gf2_vector::unit(dimension_, i).words()));
+  return {payload_row(i), payload_row(i) + payload_size_};
 }
 
-gf2_decoder::coded_row gf2_decoder::random_combination(rn::rng& r) const {
-  RN_REQUIRE(pivots_used_ > 0, "cannot re-encode from empty subspace");
-  // Random subset of basis rows; retry the (rare) empty draw so the packet is
-  // never the zero vector when the subspace is nontrivial.
-  for (;;) {
-    gf2_vector c(dimension_);
-    std::vector<std::uint8_t> p(payload_size_, 0);
-    bool any = false;
-    for (const auto& row : rows_) {
-      if (r.bernoulli(0.5)) {
-        c.add(row.coeffs);
-        xor_bytes(p, row.payload);
-        any = true;
-      }
+void gf2_decoder::random_combination_into(
+    rn::rng& r, gf2_vector& coeffs, std::vector<std::uint8_t>& payload) const {
+  RN_REQUIRE(rank() > 0, "cannot re-encode from empty subspace");
+  coeffs.reset(dimension_);
+  payload.assign(payload_size_, 0);
+  std::uint64_t* c = coeffs.words();
+  // Random subset of basis rows; redraw the (rare) empty subset so the packet
+  // is never the zero vector. An empty draw leaves the outputs zero. The coin
+  // selects the row through a mask rather than a branch: fair coins are
+  // unpredictable, and a mispredict costs more than XORing a short row.
+  for (bool any = false; !any;) {
+    for (const std::uint32_t p : pivots_) {
+      const bool coin = r.bernoulli(0.5);
+      const std::uint64_t mask = std::uint64_t{0} - coin;
+      xor_words_masked(c, coeff_row(p), words_, mask);
+      xor_bytes_masked(payload.data(), payload_row(p), payload_size_, mask);
+      any = any || coin;
     }
-    if (any && !c.is_zero()) return {std::move(c), std::move(p)};
-    if (!any && rows_.empty()) return {std::move(c), std::move(p)};
   }
 }
 
 void xor_bytes(std::vector<std::uint8_t>& a,
                const std::vector<std::uint8_t>& b) {
   RN_REQUIRE(a.size() == b.size(), "byte string size mismatch");
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] ^= b[i];
+  xor_bytes(a.data(), b.data(), a.size());
 }
 
 }  // namespace rn::coding

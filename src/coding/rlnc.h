@@ -39,8 +39,12 @@ class rlnc_node {
   [[nodiscard]] bool can_decode() const { return decoder_.complete(); }
   [[nodiscard]] std::size_t rank() const { return decoder_.rank(); }
 
-  /// Fresh random re-encoding of everything held (requires has_anything()).
-  [[nodiscard]] gf2_decoder::coded_row encode(rn::rng& r) const;
+  /// Fresh random re-encoding of everything held, written over `coeffs` and
+  /// `payload` in place (requires has_anything()).
+  void encode_into(rn::rng& r, gf2_vector& coeffs,
+                   std::vector<std::uint8_t>& payload) const {
+    decoder_.random_combination_into(r, coeffs, payload);
+  }
 
   /// All decoded messages (requires can_decode()).
   [[nodiscard]] std::vector<message> decode_all() const;

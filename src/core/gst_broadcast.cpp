@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/math.h"
+#include "core/coded_slots.h"
 #include "core/runner.h"
 #include "core/schedule.h"
 #include "radio/network.h"
@@ -171,15 +172,7 @@ radio::broadcast_result run_gst_rlnc_broadcast(
 
   // Interior stretch nodes relay the most recent packet received from their
   // stretch predecessor (paper 3.3.2 case (b)).
-  std::vector<std::shared_ptr<const radio::packet_body>> relay(n);
-
-  auto fresh_packet = [&](node_id v) -> radio::packet {
-    auto row = buf[v].encode(node_rng[v]);
-    auto body = std::make_shared<radio::packet_body>();
-    body->coeffs = std::move(row.coeffs);
-    body->data = std::move(row.payload);
-    return radio::packet::make_coded(0, std::move(body));
-  };
+  coded_slots slots(n);
 
   radio::round_buffer txs;
   const gst_schedule_index idx(sched, all_nodes(n));
@@ -194,17 +187,17 @@ radio::broadcast_result run_gst_rlnc_broadcast(
     if (buf[v].can_decode()) tracker.mark(v);
     // Remember stretch-predecessor packets for relaying: the predecessor is
     // this node's parent when both share a rank.
-    if (rx.from == t.parent[v] && !d.is_stretch_head[v])
-      relay[v] = rx.pkt->body;
+    if (rx.from == t.parent[v] && !d.is_stretch_head[v]) slots.hold(v, *rx.pkt);
   };
   auto plan = [&](node_id v, gst_schedule::action a) {
     if (a == gst_schedule::action::fast && !d.is_stretch_head[v]) {
       // Relay role: forward the predecessor's packet verbatim.
-      if (relay[v]) txs.add_owned(v, radio::packet::make_coded(0, relay[v]));
+      if (const radio::packet* held = slots.relay(v)) txs.add(v, *held);
       return;
     }
     // Stretch heads (fast) and all slow prompts send fresh combinations.
-    if (buf[v].has_anything()) txs.add_owned(v, fresh_packet(v));
+    if (buf[v].has_anything())
+      txs.add(v, slots.encode(v, 0, buf[v], node_rng[v]));
   };
 
   for (round_t r = 0; r < max_rounds; ++r) {

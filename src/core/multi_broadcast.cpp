@@ -1,11 +1,11 @@
 #include "core/multi_broadcast.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/check.h"
 #include "common/math.h"
 #include "common/rng.h"
+#include "core/coded_slots.h"
 #include "core/gst_broadcast.h"
 #include "core/gst_centralized.h"
 #include "core/runner.h"
@@ -137,18 +137,12 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
       dp + static_cast<int>(opt.prm.fec_overhead *
                             static_cast<double>(batches.batch_size));
 
-  auto fresh_packet = [&](node_id v, std::size_t b) {
-    auto row = buf[v][b].encode(node_rng[v]);
-    auto body = std::make_shared<radio::packet_body>();
-    body->coeffs = std::move(row.coeffs);
-    body->data = std::move(row.payload);
-    return radio::packet::make_coded(static_cast<std::uint32_t>(b),
-                                     std::move(body));
+  // Fresh and relay packet slots; relays are dropped per super-epoch.
+  coded_slots slots(n);
+  auto fresh_packet = [&](node_id v, std::size_t b) -> const radio::packet& {
+    return slots.encode(v, static_cast<std::uint32_t>(b), buf[v][b],
+                        node_rng[v]);
   };
-
-  // Relay buffers for interior stretch nodes (reset per super-epoch).
-  std::vector<std::shared_ptr<const radio::packet_body>> relay(n);
-  std::vector<std::uint32_t> relay_batch(n, 0);
 
   auto on_rx = [&](const radio::reception& rx) {
     if (rx.what != radio::observation::message ||
@@ -163,10 +157,8 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
     buf[v][b].receive(rx.pkt->body->coeffs, rx.pkt->body->data);
     if (!was_done && node_done(v)) tracker.mark(v);
     if (rx.from == setup.forests[static_cast<std::size_t>(ring)].parent[v] &&
-        !setup.derived[static_cast<std::size_t>(ring)].is_stretch_head[v]) {
-      relay[v] = rx.pkt->body;
-      relay_batch[v] = rx.pkt->x;
-    }
+        !setup.derived[static_cast<std::size_t>(ring)].is_stretch_head[v])
+      slots.hold(v, *rx.pkt);
   };
 
   radio::round_buffer txs;
@@ -175,7 +167,7 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
   round_t pipeline_rounds = 0;
   for (std::size_t e = 0; e < super_epochs; ++e) {
     // Intra-ring RLNC phase: ring j works on batch e - j.
-    std::fill(relay.begin(), relay.end(), nullptr);
+    slots.drop_relays();
     for (round_t r = 0; r < intra_budget; ++r) {
       txs.clear();
       for (std::size_t j = 0; j < ring_count; ++j) {
@@ -190,13 +182,11 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
           const auto a = scheds[j].query(v, r, node_rng[v]);
           if (a == gst_schedule::action::none) continue;
           if (a == gst_schedule::action::fast && !der.is_stretch_head[v]) {
-            if (relay[v] && relay_batch[v] == b)
-              txs.add_owned(v, radio::packet::make_coded(
-                                   static_cast<std::uint32_t>(b), relay[v]));
+            const radio::packet* held = slots.relay(v);
+            if (held != nullptr && held->x == b) txs.add(v, *held);
             continue;
           }
-          if (buf[v][b].has_anything())
-            txs.add_owned(v, fresh_packet(v, b));
+          if (buf[v][b].has_anything()) txs.add(v, fresh_packet(v, b));
         }
       }
       if (sink.commit(txs, on_rx)) tracker.observe_round(net.stats().rounds);
@@ -216,7 +206,7 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
             if (setup.rings.rel_level[v] != outer) continue;
             if (!buf[v][b].can_decode()) continue;
             if (node_rng[v].with_probability_pow2(ex))
-              txs.add_owned(v, fresh_packet(v, b));
+              txs.add(v, fresh_packet(v, b));
           }
         }
         if (sink.commit(txs, on_rx)) tracker.observe_round(net.stats().rounds);

@@ -21,7 +21,11 @@
 // receptions delivered through a statically-dispatched callable. A protocol
 // that broadcasts one message keeps a single flyweight `packet` for its
 // whole run and references it from every transmission: no per-round packet
-// copies, no shared_ptr refcount churn, no std::function dispatch.
+// copies, no shared_ptr refcount churn, no std::function dispatch. Coded
+// (RLNC) relays keep one fresh and one relay slot per node instead
+// (core/coded_slots.h): a sender re-encodes its fresh slot in place, so a
+// receiver copies the body into its own relay slot at reception rather than
+// holding a reference to the sender's, which the next encode would rewrite.
 //
 // Intra-trial parallelism: the CSR row walks of one round can be sharded
 // across worker threads by contiguous *listener* ranges (a fixed block

@@ -39,7 +39,9 @@ struct packet_body {
   std::vector<std::uint8_t> data;  ///< message bytes (or XOR-combination)
 };
 
-/// One radio transmission. Value type; `body` shared and immutable.
+/// One radio transmission. Value type; `body` shared, and never changed
+/// while a round that references it is in flight (RLNC slots rewrite theirs
+/// between rounds; see core/coded_slots.h).
 struct packet {
   packet_kind kind = packet_kind::empty;
   node_id a = no_node;

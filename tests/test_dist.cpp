@@ -319,6 +319,28 @@ TEST(WireFuzz, ZeroLengthFrameIsStructuredCorrupt) {
   }
 }
 
+// Appending an empty section (an empty round's transmitter list) passes a
+// null source pointer; the frame must still round-trip intact.
+TEST(WireFuzz, EmptyRawSectionRoundTrips) {
+  auto [a, b] = make_channel_pair();
+  wire_writer w;
+  w.u32(0);
+  w.raw(nullptr, 0);
+  const std::vector<std::uint32_t> none;
+  w.raw(none.data(), none.size() * 4);
+  w.u64(0x0123456789abcdefULL);
+  ASSERT_EQ(w.bytes.size(), 12u);
+  a.send(msg_type::round, w);
+  b.set_deadline_ms(2000);
+  std::vector<std::uint8_t> payload;
+  ASSERT_EQ(b.recv(payload), msg_type::round);
+  EXPECT_EQ(payload, w.bytes);
+  wire_reader in(payload);
+  EXPECT_EQ(in.u32(), 0u);
+  EXPECT_EQ(in.u64(), 0x0123456789abcdefULL);
+  EXPECT_EQ(in.remaining(), 0u);
+}
+
 TEST(WireFuzz, MidFrameEofIsStructuredClosed) {
   auto [a, b] = make_channel_pair();
   wire_writer w;

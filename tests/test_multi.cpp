@@ -3,6 +3,7 @@
 #include "baseline/multi_baselines.h"
 #include "core/multi_broadcast.h"
 #include "graph/generators.h"
+#include "radio/network.h"
 
 namespace rn::core {
 namespace {
@@ -90,6 +91,102 @@ TEST_P(UnknownMultiTest, Theorem13DecodesExactPayloads) {
 INSTANTIATE_TEST_SUITE_P(Sweep, UnknownMultiTest,
                          ::testing::Combine(::testing::Range(1, 6),
                                             ::testing::Bool()));
+
+// --- runner coverage: multi-ring handoff and two-word coefficient headers --
+
+/// Runs `run` under every execution setting that must not change a result —
+/// fast-forward on/off, a 1- or 4-thread intra-trial shard team (volume floor
+/// lowered so every stepped round shards) — and checks all runs agree field
+/// for field. Returns the first run.
+template <class Run>
+multi_broadcast_result expect_execution_invariant(Run run) {
+  const radio::intra_trial_policy saved = radio::get_intra_trial_policy();
+  std::vector<multi_broadcast_result> runs;
+  for (const bool ff : {true, false}) {
+    for (const unsigned shards : {1u, 4u}) {
+      radio::intra_trial_policy pol = saved;
+      pol.threads = shards;
+      pol.min_parallel_volume = 0;
+      radio::set_intra_trial_policy(pol);
+      runs.push_back(run(ff));
+    }
+  }
+  radio::set_intra_trial_policy(saved);
+  const auto& a = runs.front();
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    const auto& b = runs[i];
+    EXPECT_EQ(a.payloads_verified, b.payloads_verified) << "run " << i;
+    EXPECT_EQ(a.base.completed, b.base.completed) << "run " << i;
+    EXPECT_EQ(a.base.rounds_to_complete, b.base.rounds_to_complete);
+    EXPECT_EQ(a.base.rounds_executed, b.base.rounds_executed);
+    EXPECT_EQ(a.base.transmissions, b.base.transmissions);
+    EXPECT_EQ(a.base.deliveries, b.base.deliveries);
+    EXPECT_EQ(a.base.collisions_observed, b.base.collisions_observed);
+    EXPECT_EQ(a.base.energy, b.base.energy) << "run " << i;
+    EXPECT_EQ(a.base.phase_rounds.size(), b.base.phase_rounds.size());
+    for (std::size_t p = 0; p < a.base.phase_rounds.size() &&
+                            p < b.base.phase_rounds.size();
+         ++p) {
+      EXPECT_STREQ(a.base.phase_rounds[p].first, b.base.phase_rounds[p].first);
+      EXPECT_EQ(a.base.phase_rounds[p].second, b.base.phase_rounds[p].second);
+    }
+  }
+  return a;
+}
+
+// Theorem 1.3 on a graph that splits into several rings, so batches are
+// handed between rings by the FEC phase (a single-ring graph leaves those
+// rounds empty) and relay slots are dropped between super-epochs.
+TEST(UnknownMultiCoverage, MultiRingHandoffIsExecutionInvariant) {
+  graph::layered_options lo;
+  lo.depth = 12;
+  lo.width = 4;
+  lo.edge_prob = 0.4;
+  lo.seed = 77;
+  const auto g = graph::random_layered(lo);
+  multi_broadcast_options opt;
+  opt.seed = 3;
+  opt.payload_size = 16;
+  opt.prm = params::fast();
+  opt.prm.ring_divisor = 3.0;
+
+  single_broadcast_options so;
+  so.seed = opt.seed;
+  so.prm = opt.prm;
+  const auto setup = prepare_unknown_topology(g, 0, so);
+  ASSERT_GE(setup.rings.rings.size(), 2u);
+
+  const auto msgs = coding::make_test_messages(20, 16, 3);
+  const auto res = expect_execution_invariant([&](bool ff) {
+    auto o = opt;
+    o.fast_forward = ff;
+    return run_unknown_cd_multi_broadcast(g, 0, msgs, o);
+  });
+  EXPECT_TRUE(res.base.completed);
+  EXPECT_TRUE(res.payloads_verified);
+}
+
+// Theorem 1.2 with 100 messages coded together: coefficient rows span two
+// 64-bit words.
+TEST(KnownMultiCoverage, HundredMessagesIsExecutionInvariant) {
+  graph::layered_options lo;
+  lo.depth = 6;
+  lo.width = 4;
+  lo.edge_prob = 0.4;
+  lo.seed = 12;
+  const auto g = graph::random_layered(lo);
+  const auto msgs = coding::make_test_messages(100, 16, 4);
+  multi_broadcast_options opt;
+  opt.seed = 4;
+  opt.payload_size = 16;
+  const auto res = expect_execution_invariant([&](bool ff) {
+    auto o = opt;
+    o.fast_forward = ff;
+    return run_known_multi_broadcast(g, 0, msgs, o);
+  });
+  EXPECT_TRUE(res.base.completed);
+  EXPECT_TRUE(res.payloads_verified);
+}
 
 TEST(Baselines, SequentialDecayDeliversAll) {
   const auto g = graph::grid(4, 5);
