@@ -163,59 +163,70 @@ multi_broadcast_result run_unknown_cd_multi_broadcast(
 
   radio::round_buffer txs;
   core::round_sink sink(net, opt.fast_forward);
+  // Commits one relay round; true once every member can decode every batch.
+  // A run complete before its first relay round still steps that round, so
+  // fast-forward and naive stepping record completion at the same round.
+  auto step = [&] {
+    if (!sink.commit(txs, on_rx, /*force=*/tracker.all_done())) return false;
+    tracker.observe_round(net.stats().rounds);
+    return tracker.all_done();
+  };
+  // The relay ends at the stepped round where the run completes, wherever
+  // that lands: inside an intra-ring phase, a handoff or a later super-epoch.
   const std::size_t super_epochs = ring_count + B;  // one slack epoch
-  round_t pipeline_rounds = 0;
-  for (std::size_t e = 0; e < super_epochs; ++e) {
-    // Intra-ring RLNC phase: ring j works on batch e - j.
-    slots.drop_relays();
-    for (round_t r = 0; r < intra_budget; ++r) {
-      txs.clear();
-      for (std::size_t j = 0; j < ring_count; ++j) {
-        if (e < j || e - j >= B) continue;
-        const std::size_t b = e - j;
-        const auto& der = setup.derived[j];
-        // Bucketed planning — the exact members whose schedule (and coin)
-        // round r consults, in member order (see gst_schedule_index).
-        const auto& bucket = r % 2 == 0 ? sched_idx[j].fast_bucket(r)
-                                        : sched_idx[j].slow_bucket(r);
-        for (node_id v : bucket) {
-          const auto a = scheds[j].query(v, r, node_rng[v]);
-          if (a == gst_schedule::action::none) continue;
-          if (a == gst_schedule::action::fast && !der.is_stretch_head[v]) {
-            const radio::packet* held = slots.relay(v);
-            if (held != nullptr && held->x == b) txs.add(v, *held);
-            continue;
-          }
-          if (buf[v][b].has_anything()) txs.add(v, fresh_packet(v, b));
-        }
-      }
-      if (sink.commit(txs, on_rx)) tracker.observe_round(net.stats().rounds);
-    }
-    pipeline_rounds += intra_budget;
-
-    // FEC handoff phase: ring j's outer boundary pushes batch e - j to ring
-    // j+1's roots with fountain packets over Decay.
-    for (int ph = 0; ph < handoff_phases; ++ph) {
-      for (int ex = 0; ex <= L; ++ex) {
+  auto relay = [&] {
+    for (std::size_t e = 0; e < super_epochs; ++e) {
+      // Intra-ring RLNC phase: ring j works on batch e - j.
+      slots.drop_relays();
+      for (round_t r = 0; r < intra_budget; ++r) {
         txs.clear();
-        for (std::size_t j = 0; j + 1 < ring_count; ++j) {
+        for (std::size_t j = 0; j < ring_count; ++j) {
           if (e < j || e - j >= B) continue;
           const std::size_t b = e - j;
-          const level_t outer = setup.rings.rings[j].depth;
-          for (node_id v : setup.rings.rings[j].members) {
-            if (setup.rings.rel_level[v] != outer) continue;
-            if (!buf[v][b].can_decode()) continue;
-            if (node_rng[v].with_probability_pow2(ex))
-              txs.add(v, fresh_packet(v, b));
+          const auto& der = setup.derived[j];
+          // Bucketed planning — the exact members whose schedule (and coin)
+          // round r consults, in member order (see gst_schedule_index).
+          const auto& bucket = r % 2 == 0 ? sched_idx[j].fast_bucket(r)
+                                          : sched_idx[j].slow_bucket(r);
+          for (node_id v : bucket) {
+            const auto a = scheds[j].query(v, r, node_rng[v]);
+            if (a == gst_schedule::action::none) continue;
+            if (a == gst_schedule::action::fast && !der.is_stretch_head[v]) {
+              const radio::packet* held = slots.relay(v);
+              if (held != nullptr && held->x == b) txs.add(v, *held);
+              continue;
+            }
+            if (buf[v][b].has_anything()) txs.add(v, fresh_packet(v, b));
           }
         }
-        if (sink.commit(txs, on_rx)) tracker.observe_round(net.stats().rounds);
+        if (step()) return;
+      }
+
+      // FEC handoff phase: ring j's outer boundary pushes batch e - j to
+      // ring j+1's roots with fountain packets over Decay.
+      for (int ph = 0; ph < handoff_phases; ++ph) {
+        for (int ex = 0; ex <= L; ++ex) {
+          txs.clear();
+          for (std::size_t j = 0; j + 1 < ring_count; ++j) {
+            if (e < j || e - j >= B) continue;
+            const std::size_t b = e - j;
+            const level_t outer = setup.rings.rings[j].depth;
+            for (node_id v : setup.rings.rings[j].members) {
+              if (setup.rings.rel_level[v] != outer) continue;
+              if (!buf[v][b].can_decode()) continue;
+              if (node_rng[v].with_probability_pow2(ex))
+                txs.add(v, fresh_packet(v, b));
+            }
+          }
+          if (step()) return;
+        }
       }
     }
-    pipeline_rounds += static_cast<round_t>(handoff_phases) * (L + 1);
-  }
+  };
+  relay();
   sink.flush();
-  out.base.phase_rounds.emplace_back("batch_pipeline", pipeline_rounds);
+  // The relay network starts at round 0, so its clock is the relay length.
+  out.base.phase_rounds.emplace_back("batch_pipeline", net.stats().rounds);
 
   out.base.completed = tracker.all_done();
   out.base.rounds_to_complete =

@@ -30,6 +30,8 @@ struct multi_broadcast_options {
   std::uint64_t seed = 1;
   params prm = params::paper();
   std::size_t payload_size = 32;  ///< bytes per message
+  /// Relay budget of run_known_multi_broadcast (0 = from schedule_slack).
+  /// Only that runner reads it: run_unknown_cd_multi_broadcast ignores it.
   round_t max_rounds = 0;
   /// Skip transmitter-free rounds in every phase via network::advance
   /// (bit-identical results; see README "Fast-forward execution").
@@ -47,7 +49,8 @@ struct multi_broadcast_result {
     const std::vector<coding::message>& messages,
     const multi_broadcast_options& opt);
 
-/// Theorem 1.3.
+/// Theorem 1.3. The relay stops at the round where every node can decode
+/// every batch; a run that cannot complete runs every planned relay round.
 [[nodiscard]] multi_broadcast_result run_unknown_cd_multi_broadcast(
     const graph::graph& g, node_id source,
     const std::vector<coding::message>& messages,

@@ -143,6 +143,11 @@ radio::broadcast_result run_unknown_cd_single_broadcast(
                   opt.prm.schedule_slack *
                   (6.0 * t.max_level() + 48.0 * L * L + 64));
     for (round_t r = 0; r < budget; ++r) {
+      // A run complete before its first relay round (a lone source) still
+      // steps that round, so fast-forward and naive stepping record
+      // completion at the same round; the ring keeps its full budget.
+      const bool completing =
+          tracker.all_done() && tracker.first_complete_round() < 0;
       txs.clear();
       if (r % 2 == 0) {
         for (node_id v : idx.fast_bucket(r)) {
@@ -158,7 +163,7 @@ radio::broadcast_result run_unknown_cd_single_broadcast(
             txs.add(v, data_pkt);
         }
       }
-      if (sink.commit(txs, deliver))
+      if (sink.commit(txs, deliver, completing))
         tracker.observe_round(net.stats().rounds);
     }
     relay_rounds += budget;

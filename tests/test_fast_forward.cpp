@@ -126,6 +126,43 @@ TEST(FastForward, MultiMessageBroadcastBitIdentical) {
   EXPECT_EQ(naive.payloads_verified, ff.payloads_verified);
 }
 
+// On a one-node path the run is complete before its first relay round: both
+// unknown-CD runners must still record completion at the first relay round in
+// fast-forward mode, as naive stepping does, rather than at the first round
+// with a transmitter. n = 2 is the smallest path that needs a delivery.
+class TinyPathFastForward : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TinyPathFastForward, Theorem11BitIdentical) {
+  const auto g = graph::path(GetParam());
+  core::single_broadcast_options opt;
+  opt.seed = 5;
+  opt.prm = core::params::fast();
+  opt.fast_forward = false;
+  const auto naive = core::run_unknown_cd_single_broadcast(g, 0, opt);
+  opt.fast_forward = true;
+  const auto ff = core::run_unknown_cd_single_broadcast(g, 0, opt);
+  expect_same_result(naive, ff);
+  EXPECT_TRUE(naive.completed);
+}
+
+TEST_P(TinyPathFastForward, Theorem13BitIdentical) {
+  const auto g = graph::path(GetParam());
+  const auto msgs = coding::make_test_messages(3, 8, 7);
+  core::multi_broadcast_options opt;
+  opt.seed = 5;
+  opt.prm = core::params::fast();
+  opt.payload_size = 8;
+  opt.fast_forward = false;
+  const auto naive = core::run_unknown_cd_multi_broadcast(g, 0, msgs, opt);
+  opt.fast_forward = true;
+  const auto ff = core::run_unknown_cd_multi_broadcast(g, 0, msgs, opt);
+  expect_same_result(naive.base, ff.base);
+  EXPECT_EQ(naive.payloads_verified, ff.payloads_verified);
+  EXPECT_TRUE(naive.payloads_verified);
+}
+
+INSTANTIATE_TEST_SUITE_P(PathN, TinyPathFastForward, ::testing::Values(1, 2));
+
 TEST(FastForward, AssignmentProblemBitIdentical) {
   // Bipartite layered instance, as in experiment E7.
   const std::size_t half = 12;

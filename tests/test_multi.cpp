@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baseline/multi_baselines.h"
+#include "common/math.h"
 #include "core/multi_broadcast.h"
 #include "graph/generators.h"
 #include "radio/network.h"
@@ -134,36 +137,116 @@ multi_broadcast_result expect_execution_invariant(Run run) {
   return a;
 }
 
+round_t phase_sum(const radio::broadcast_result& r) {
+  round_t sum = 0;
+  for (const auto& [name, rounds] : r.phase_rounds) sum += rounds;
+  return sum;
+}
+
+/// The Theorem 1.3 relay as planned: every super-epoch (one per ring plus one
+/// per batch) runs its intra-ring budget and then its FEC handoff. Mirrors
+/// the budgets of run_unknown_cd_multi_broadcast.
+round_t planned_relay_rounds(const unknown_topology_setup& setup,
+                             std::size_t n, std::size_t k, const params& prm) {
+  const int L = log_range(n);
+  const std::size_t batch = static_cast<std::size_t>(L);
+  level_t w_max = 0;
+  for (const auto& ring : setup.rings.rings)
+    w_max = std::max(w_max, ring.depth);
+  const auto intra = static_cast<round_t>(
+      prm.schedule_slack * (6.0 * w_max + 48.0 * L * L +
+                            8.0 * static_cast<double>(batch) * (L + 1) + 64));
+  const auto handoff =
+      prm.decay_phases(n) +
+      static_cast<int>(prm.fec_overhead * static_cast<double>(batch));
+  const auto epochs =
+      static_cast<round_t>(setup.rings.rings.size() + (k + batch - 1) / batch);
+  return epochs * (intra + static_cast<round_t>(handoff) * (L + 1));
+}
+
+/// Theorem 1.3 set-up and options on a layered graph of `depth` layers with
+/// `k` messages; `ring_divisor` = 3 splits the deeper graphs into rings.
+struct unknown_multi_case {
+  graph::graph g;
+  multi_broadcast_options opt;
+  std::vector<coding::message> msgs;
+  unknown_topology_setup setup;
+
+  unknown_multi_case(std::size_t depth, double ring_divisor, std::size_t k) {
+    graph::layered_options lo;
+    lo.depth = depth;
+    lo.width = 4;
+    lo.edge_prob = 0.4;
+    lo.seed = 77;
+    g = graph::random_layered(lo);
+    opt.seed = 3;
+    opt.payload_size = 16;
+    opt.prm = params::fast();
+    opt.prm.ring_divisor = ring_divisor;
+    msgs = coding::make_test_messages(k, 16, 3);
+    single_broadcast_options so;
+    so.seed = opt.seed;
+    so.prm = opt.prm;
+    setup = prepare_unknown_topology(g, 0, so);
+  }
+
+  [[nodiscard]] multi_broadcast_result run_invariant() const {
+    return expect_execution_invariant([&](bool ff) {
+      auto o = opt;
+      o.fast_forward = ff;
+      return run_unknown_cd_multi_broadcast(g, 0, msgs, o);
+    });
+  }
+};
+
+/// A completed Theorem 1.3 run stops its relay at the completing round: it
+/// executes exactly rounds_to_complete rounds, well short of the planned
+/// relay, and its phases (batch_pipeline = relay rounds run) still sum to
+/// the rounds executed.
+void expect_relay_stopped_at_completion(const unknown_multi_case& c,
+                                        const multi_broadcast_result& res) {
+  ASSERT_TRUE(res.base.completed);
+  EXPECT_TRUE(res.payloads_verified);
+  EXPECT_EQ(res.base.rounds_executed, res.base.rounds_to_complete);
+  EXPECT_EQ(phase_sum(res.base), res.base.rounds_executed);
+  EXPECT_LT(res.base.rounds_executed,
+            c.setup.total_rounds() +
+                planned_relay_rounds(c.setup, c.g.node_count(), c.msgs.size(),
+                                     c.opt.prm));
+}
+
 // Theorem 1.3 on a graph that splits into several rings, so batches are
 // handed between rings by the FEC phase (a single-ring graph leaves those
-// rounds empty) and relay slots are dropped between super-epochs.
+// rounds empty) and relay slots are dropped between super-epochs. 20
+// messages make several batches, so the stop can land in a handoff or a
+// later super-epoch.
 TEST(UnknownMultiCoverage, MultiRingHandoffIsExecutionInvariant) {
-  graph::layered_options lo;
-  lo.depth = 12;
-  lo.width = 4;
-  lo.edge_prob = 0.4;
-  lo.seed = 77;
-  const auto g = graph::random_layered(lo);
-  multi_broadcast_options opt;
-  opt.seed = 3;
-  opt.payload_size = 16;
-  opt.prm = params::fast();
-  opt.prm.ring_divisor = 3.0;
+  const unknown_multi_case c(12, 3.0, 20);
+  ASSERT_GE(c.setup.rings.rings.size(), 2u);
+  ASSERT_GT(c.msgs.size(),
+            static_cast<std::size_t>(log_range(c.g.node_count())));
+  expect_relay_stopped_at_completion(c, c.run_invariant());
+}
 
-  single_broadcast_options so;
-  so.seed = opt.seed;
-  so.prm = opt.prm;
-  const auto setup = prepare_unknown_topology(g, 0, so);
-  ASSERT_GE(setup.rings.rings.size(), 2u);
+TEST(UnknownMultiCoverage, SingleRingStopsAtCompletion) {
+  const unknown_multi_case c(5, params::fast().ring_divisor, 20);
+  ASSERT_EQ(c.setup.rings.rings.size(), 1u);
+  expect_relay_stopped_at_completion(c, c.run_invariant());
+}
 
-  const auto msgs = coding::make_test_messages(20, 16, 3);
-  const auto res = expect_execution_invariant([&](bool ff) {
-    auto o = opt;
-    o.fast_forward = ff;
-    return run_unknown_cd_multi_broadcast(g, 0, msgs, o);
-  });
-  EXPECT_TRUE(res.base.completed);
-  EXPECT_TRUE(res.payloads_verified);
+// A budget too short to complete runs every planned relay round.
+TEST(UnknownMultiCoverage, IncompleteRunKeepsFullRelay) {
+  unknown_multi_case c(12, 3.0, 20);
+  c.opt.prm.schedule_slack = 0.01;
+  const auto res = c.run_invariant();
+  EXPECT_FALSE(res.base.completed);
+  EXPECT_FALSE(res.payloads_verified);
+  EXPECT_EQ(res.base.rounds_to_complete, -1);
+  EXPECT_EQ(res.base.rounds_executed,
+            c.setup.total_rounds() +
+                planned_relay_rounds(c.setup, c.g.node_count(), c.msgs.size(),
+                                     c.opt.prm));
+  EXPECT_EQ(phase_sum(res.base), res.base.rounds_executed);
 }
 
 // Theorem 1.2 with 100 messages coded together: coefficient rows span two
