@@ -51,9 +51,7 @@ void register_e10(sim::registry& reg) {
       "power-law: D ~ log n with heavy hub contention. decay runs on the "
       "batched coin calendar — per-round cost tracks transmitters, not "
       "informed nodes — so the column extends through n = 10^7 on the "
-      "layered family. The 10^6/10^7 points shard their row walks across "
-      "the intra-trial backend when worker capacity allows; results are "
-      "byte-identical either way.)";
+      "layered family.)";
   e.make_scenarios = [] {
     std::vector<sim::scenario> out;
     out.push_back(scale_scenario(
@@ -84,9 +82,7 @@ void register_e10(sim::registry& reg) {
         {"layered", {{"depth", 50}, {"width", 20000}, {"edge_prob", 0.001}}},
         true));
     // The 10^7 point: same shape, mean degree ~40, ~2x10^8 undirected
-    // edges. One trial is big enough that the intra-trial sharded walk is
-    // the parallelism that matters (the trial pool is idle with this few
-    // units); peak RSS lands around 5 GB — see README and the sidecar.
+    // edges; peak RSS lands around 5 GB — see README and the sidecar.
     out.push_back(scale_scenario(
         "layered", 10000001,
         {"layered",

@@ -5,6 +5,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <iostream>
+#include <limits>
+#include <string_view>
 #include <thread>
 
 #include <sys/wait.h>
@@ -13,6 +16,7 @@
 #include "common/check.h"
 #include "core/params.h"
 #include "dist/worker.h"
+#include "sim/cli.h"
 
 namespace rn::dist {
 
@@ -39,6 +43,48 @@ struct session::local_cover {
   graph::partitioned_view view;
   partition_walker walker;
 };
+
+bool take_launcher_flags(std::vector<char*>& args, session_options& opt) {
+  constexpr std::uint64_t u32_max = std::numeric_limits<unsigned>::max();
+  struct numeric_flag {
+    std::string_view name;
+    std::uint64_t lo, hi;
+    unsigned* out;
+  };
+  const numeric_flag numeric[] = {
+      {"--ranks", 1, kBlocks, &opt.ranks},
+      {"--intra-trial-threads", 1, kBlocks, &opt.intra_trial_threads},
+      {"--round-deadline-ms", 0, u32_max, &opt.policy.round_deadline_ms},
+      {"--setup-deadline-ms", 0, u32_max, &opt.policy.setup_deadline_ms},
+      {"--max-respawns", 0, u32_max, &opt.policy.max_respawns},
+      {"--backoff-ms", 0, u32_max, &opt.policy.backoff_base_ms},
+  };
+  for (std::size_t i = 1; i < args.size();) {
+    const std::string_view arg = args[i];
+    const numeric_flag* num = nullptr;
+    for (const numeric_flag& f : numeric)
+      if (arg == f.name) num = &f;
+    if (num == nullptr && arg != "--fault-plan") {
+      ++i;
+      continue;
+    }
+    if (i + 1 >= args.size()) {
+      std::cerr << "missing value for " << arg << "\n";
+      return false;
+    }
+    if (num == nullptr) {
+      opt.fault_plan = args[i + 1];
+    } else {
+      std::uint64_t v = 0;
+      if (!sim::parse_flag_value(arg, args[i + 1], num->lo, num->hi, v))
+        return false;
+      *num->out = static_cast<unsigned>(v);
+    }
+    args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
+               args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
+  }
+  return true;
+}
 
 session::session(session_options opt)
     : opt_(std::move(opt)), plan_(fault_plan::parse(opt_.fault_plan)) {

@@ -35,7 +35,7 @@
 // session_options::fault_plan (dist/fault.h).
 //
 // Results are byte-identical to single-process runs at any rank count; the
-// session only ever shows up in the timing sidecar (v6 rank + recovery
+// session only ever shows up in the timing sidecar (rank + recovery
 // counters).
 #pragma once
 
@@ -62,8 +62,8 @@ struct session_options {
   /// Worker processes; clamped to [1, 32] (a rank owns >= 1 of the 32
   /// blocks). Every value yields byte-identical results.
   unsigned ranks = 2;
-  /// Walk threads per rank (the intra-trial knob, applied worker-side in
-  /// distributed mode). Byte-identical at every value.
+  /// partition_walker threads per rank (rn_dist --intra-trial-threads).
+  /// Byte-identical at every value.
   unsigned intra_trial_threads = 1;
   /// Non-empty: fork+exec this binary with "--rn-worker-fd N" per rank
   /// (tools/rn_dist passes /proc/self/exe). Empty: fork-only — the child
@@ -82,7 +82,17 @@ struct session_options {
   std::size_t max_round_log_bytes = std::size_t{1} << 30;
 };
 
-/// Cumulative rank-fleet counters for the v6 timing sidecar.
+/// rn_dist's launcher flags — --ranks, --intra-trial-threads,
+/// --round-deadline-ms, --setup-deadline-ms, --max-respawns, --backoff-ms and
+/// --fault-plan — taken out of `args` (argv-shaped; every other argument is
+/// left for the bench_suite parser) into `opt`. Each numeric value must fit
+/// its field: --ranks and --intra-trial-threads in [1, 32] (one block per
+/// rank or walker at least), the rest in [0, 2^32 - 1]. Returns false, with
+/// the reason on stderr, on a bad or missing value.
+[[nodiscard]] bool take_launcher_flags(std::vector<char*>& args,
+                                       session_options& opt);
+
+/// Cumulative rank-fleet counters for the timing sidecar.
 struct session_totals {
   std::vector<std::int64_t> peak_rss_kb_per_rank;  ///< max over trials
   std::uint64_t bytes_sent = 0;      ///< coordinator -> workers, framed

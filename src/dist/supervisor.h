@@ -21,7 +21,7 @@
 //
 // The counters here are process-wide atomics mirrored from every live
 // session, so observers that do not own the session — the rn_serve
-// Prometheus registry, the rn-bench-timing-v6 sidecar — can report
+// Prometheus registry, the rn-bench-timing-v7 sidecar — can report
 // restarts and degradations without plumbing.
 #pragma once
 

@@ -30,8 +30,8 @@ class partition_walker {
   /// state. `threads >= 2` splits the owned blocks into that many contiguous
   /// sub-ranges walked concurrently — per-block results are written by
   /// exactly one thread and read back in block order, so results are
-  /// byte-identical at every thread count (the intra-trial knob composes
-  /// with ranks).
+  /// byte-identical at every thread count (rn_dist --intra-trial-threads;
+  /// composes with ranks).
   void bind(const graph::partitioned_view* view, unsigned threads);
   void unbind();
 

@@ -1,7 +1,7 @@
 // Partitioned CSR views: the graph representation that no longer assumes one
 // resident adjacency.
 //
-// The round engine's shard plan — `kChannelContractBlocks` contiguous
+// The round engine's block plan — `kChannelContractBlocks` contiguous
 // listener ranges balanced by adjacency volume — is computed here from the
 // CSR row-offset prefix alone, so every process that can reproduce the degree
 // sequence reproduces the *identical* plan without holding the graph. A

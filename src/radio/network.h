@@ -27,20 +27,17 @@
 // receiver copies the body into its own relay slot at reception rather than
 // holding a reference to the sender's, which the next encode would rewrite.
 //
-// Intra-trial parallelism: the CSR row walks of one round can be sharded
-// across worker threads by contiguous *listener* ranges (a fixed block
-// partition of the node-id space, balanced by adjacency volume). Each
-// listener's packed hit word is written by exactly one owner block, and the
-// merged reception dispatch visits blocks in ascending order — so receptions
-// are delivered in one canonical order that depends only on the graph and
-// the transmit list, never on the thread count. Results are byte-identical
-// at every intra-trial thread count; see README "Intra-trial parallel
-// reception".
+// Block plan: listeners are resolved in a fixed order — blocks of a
+// degree-balanced partition of the node-id space (core::kChannelContractBlocks
+// contiguous ranges) in ascending order, and within a block in the order the
+// row walk first touches them. That order is the `channel-v1` contract
+// (core/params.h): it decides which reception each erasure-RNG draw lands on,
+// and src/dist partitions its ranks along the same block boundaries, so a
+// rank fleet reproduces the single-process dispatch byte for byte.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -51,32 +48,6 @@
 #include "radio/touch_list.h"
 
 namespace rn::radio {
-
-namespace detail {
-struct walk_kernels;  // per-ISA row-walk kernels (simd_kernels.h, internal)
-}  // namespace detail
-
-/// Vector ISA tier of the reception row-walk kernels. The walks (serial and
-/// sharded phase B) produce identical hit words and first-touch orders at
-/// every tier — the kernel is selected by a runtime CPU probe and is purely
-/// an execution knob, like thread counts and fast-forward.
-enum class simd_level : std::uint8_t { scalar = 0, avx2 = 1, avx512 = 2 };
-
-[[nodiscard]] const char* to_string(simd_level l);
-
-/// Best tier this build *and* this CPU support (cpuid-probed once; always
-/// `scalar` when built with RN_DISABLE_SIMD or on non-x86 hosts).
-[[nodiscard]] simd_level detected_simd_level();
-
-/// The tier the next stepped rounds will use. Defaults to the detected
-/// tier; the RN_SIMD environment variable (scalar|avx2|avx512|auto) presets
-/// it at startup — handy for A/B byte-identity checks without rebuilding.
-[[nodiscard]] simd_level active_simd_level();
-
-/// Overrides the active tier, clamped to detected_simd_level(). Results are
-/// byte-identical at every tier (tests/test_radio.cpp pins this), so this
-/// exists for benchmarks, tests, and the RN_SIMD escape hatch.
-void set_simd_level(simd_level l);
 
 /// What a listening node observes in one round.
 enum class observation : std::uint8_t { silence, message, collision };
@@ -161,61 +132,33 @@ struct network_stats {
 struct engine_totals {
   std::int64_t stepped_rounds = 0;  ///< rounds resolved by `step`
   std::int64_t skipped_rounds = 0;  ///< rounds fast-forwarded by `advance`
-  /// Stepped rounds whose row walks ran on a SIMD kernel (subset of
-  /// stepped_rounds; the rest used the scalar walk).
+  // read only by perfbench/driver.cpp; delete with the next benchmark PR
   std::int64_t simd_stepped_rounds = 0;
 };
 
-/// Process-wide intra-trial (sharded `step`) workload counters. Timing is
-/// diagnostic only — reported by the bench timing sidecar, never part of
-/// protocol results.
+// read only by perfbench/driver.cpp; delete with the next benchmark PR
 struct shard_totals {
-  /// Rounds whose row walks ran on a shard team (vs the serial walk).
   std::int64_t parallel_rounds = 0;
-  /// Cumulative busy nanoseconds per team slot (slot 0 = the stepping
-  /// thread) across all networks flushed so far; sized to the largest team
-  /// seen in this process.
   std::vector<std::int64_t> busy_ns;
 };
-
-/// Process-wide intra-trial parallelism policy, consulted by every `network`
-/// at construction. `threads == 1` (the default) keeps construction serial;
-/// `threads == 0` is *auto*: networks with at least `auto_threshold` nodes
-/// borrow whatever worker capacity the trial pool is not using (see
-/// `set_worker_budget`). An explicit `threads >= 2` forces that team size
-/// regardless of node count or budget — results are byte-identical either
-/// way, so the policy is purely an execution knob.
-struct intra_trial_policy {
-  unsigned threads = 1;
-  std::size_t auto_threshold = 250'000;
-  /// Rounds whose total row-walk volume (sum of transmitter degrees) is
-  /// below this run on the stepping thread even when a team exists; the
-  /// per-round synchronization would cost more than it saves.
-  std::size_t min_parallel_volume = 16'384;
-};
-
-void set_intra_trial_policy(const intra_trial_policy& p);
-[[nodiscard]] intra_trial_policy get_intra_trial_policy();
-
-/// Worker-capacity accounting shared between the scenario-level trial pool
-/// and intra-trial shard teams: the pool's workers hold slots while they
-/// run, and anything left over (or returned by workers whose queue drained)
-/// can be borrowed by networks whose trials are big enough to shard. The
-/// budget caps total process concurrency at `total` (default: hardware
-/// concurrency). Purely an execution detail — never affects results.
-void set_worker_budget(unsigned total);
-[[nodiscard]] unsigned worker_budget();
-/// Takes up to `want` slots; returns how many were actually granted.
-[[nodiscard]] unsigned borrow_workers(unsigned want);
-void return_workers(unsigned n);
+enum class simd_level : std::uint8_t { scalar = 0 };
+[[nodiscard]] inline const char* to_string(simd_level) { return "scalar"; }
+[[nodiscard]] inline simd_level detected_simd_level() {
+  return simd_level::scalar;
+}
+[[nodiscard]] inline simd_level active_simd_level() {
+  return simd_level::scalar;
+}
+inline void set_worker_budget(unsigned) {}
+// end of the perfbench/driver.cpp block
 
 /// Hook through which a multi-process backend (src/dist) takes over the row
 /// walks of stepped rounds. At construction every network offers its
 /// topology to the installed hook; on adoption the network skips its private
-/// adjacency copy and shard team entirely — the memory that matters at
-/// n = 10^8 — and hands each stepped round's transmit list to `walk_round`,
-/// which must leave per-listener hit words and per-block first-touch lists
-/// exactly as the serial walk would. The reception dispatch that follows
+/// adjacency copy — the memory that matters at n = 10^8 — and hands each
+/// stepped round's transmit list to `walk_round`, which must leave
+/// per-listener hit words and per-block first-touch lists exactly as the
+/// serial walk would. The reception dispatch that follows
 /// (block order, erasure draws, callbacks) is shared and unchanged, which is
 /// what keeps distributed results byte-identical to single-process runs.
 class remote_walk {
@@ -258,7 +201,7 @@ void set_remote_walk(remote_walk* hook);
 /// Both the partition and the touch order depend only on the graph and the
 /// transmit list, so the callback order — and with it every RNG draw the
 /// callback or the erasure channel makes — is identical whether the walk ran
-/// on one thread or many.
+/// here or on a src/dist rank fleet.
 class network {
  public:
   network(const graph::graph& g, model m);
@@ -268,7 +211,7 @@ class network {
   network& operator=(const network&) = delete;
   // Moves are deleted on purpose: a moved-from network that still flushed
   // its round counters in ~network() would double-count the process-wide
-  // engine totals, and the shard team holds a back-pointer to this object.
+  // engine totals.
   network(network&&) = delete;
   network& operator=(network&&) = delete;
 
@@ -287,12 +230,11 @@ class network {
   /// this process (thread-safe; used for engine accounting in bench timing).
   [[nodiscard]] static engine_totals process_totals();
 
-  /// Aggregated intra-trial shard counters/timing over every network flushed
-  /// so far in this process (thread-safe; bench timing sidecar only).
-  [[nodiscard]] static shard_totals process_shard_totals();
+  // read only by perfbench/driver.cpp; delete with the next benchmark PR
+  [[nodiscard]] static shard_totals process_shard_totals() { return {}; }
 
-  /// Publishes this network's so-far-unflushed round counters and shard
-  /// timings to the process-wide totals. Idempotent per round: each round is
+  /// Publishes this network's so-far-unflushed round counters to the
+  /// process-wide totals. Idempotent per round: each round is
   /// counted exactly once no matter how often this is called — ~network()
   /// flushes the remainder, so short-lived networks need never call it. Lets
   /// a long-running live network show up in the timing sidecar.
@@ -307,16 +249,6 @@ class network {
   }
   [[nodiscard]] std::int64_t max_energy() const;
 
-  /// Resizes this network's shard team: `threads >= 2` spawns (or reshapes)
-  /// a team of that many walkers (capped at the block count), `threads <= 1`
-  /// tears it down. The process policy applies this automatically at
-  /// construction; call it directly to override per network (tests do).
-  void enable_intra_trial(unsigned threads);
-  /// Current team size (1 = serial row walks).
-  [[nodiscard]] unsigned intra_trial_threads() const;
-  /// Per-round volume floor below which a team, if any, is bypassed.
-  void set_min_parallel_volume(std::size_t v) { min_parallel_volume_ = v; }
-
   /// Executes one synchronous round: every node in `txs` transmits its
   /// packet, everyone else listens. `on_rx` is invoked for every listener
   /// that observes a message or (in the CD model) a collision, in the
@@ -329,7 +261,7 @@ class network {
   void step(const round_buffer& txs, OnRx&& on_rx) {
     prepare_round(txs);
     // Resolve observations for touched listeners, block by block. The walk
-    // (serial or sharded) has left every touched listener's packed hit word
+    // (local or remote) has left every touched listener's packed hit word
     // — transmitting-neighbor count in the high half, index of the last
     // transmitter heard in the low half — in hit_state_.
     std::uint64_t* hits = hit_state_.data();
@@ -367,21 +299,11 @@ class network {
   void advance(round_t idle_rounds);
 
  private:
-  class shard_team;
-  friend class shard_team;
-
   /// Validates and marks the transmitters, then tallies every listener's
-  /// transmitting neighbors into hit_state_ / block_touched_ — on this
-  /// thread, or sharded across the team when the round is big enough.
+  /// transmitting neighbors into hit_state_ / block_touched_ (locally, or
+  /// through the adopted remote walk).
   void prepare_round(const round_buffer& txs);
   void serial_walk(const round_buffer& txs);
-  /// Walks the slice of every transmitter row owned by `block` (phase B of
-  /// the sharded walk; row_split_ was filled by split_rows_chunk).
-  void walk_block(const round_buffer& txs, unsigned block);
-  /// Computes, for transmitters [begin, end), the offsets at which each row
-  /// crosses a block boundary (phase A of the sharded walk).
-  void split_rows_chunk(const round_buffer& txs, std::size_t begin,
-                        std::size_t end);
 
   const graph::graph* g_;
   model model_;
@@ -397,40 +319,24 @@ class network {
   // high 32 bits, index of the last transmitter heard in the low 32.
   std::vector<std::uint64_t> hit_state_;
   std::vector<char> is_transmitting_;      // per-round transmitter bitmap
-  // The reusable shard plan: a fixed partition of the node-id space into
-  // kNumBlocks contiguous listener ranges balanced by adjacency volume.
-  // block_bounds_[b] .. block_bounds_[b+1] is block b; block_of_[v] is the
-  // owner block of listener v. Computed once, recycled every round; the
-  // partition never depends on the team size, which is what makes reception
-  // order thread-count-invariant.
+  // The block plan: a fixed partition of the node-id space into
+  // core::kChannelContractBlocks contiguous listener ranges balanced by
+  // adjacency volume. block_bounds_[b] .. block_bounds_[b+1] is block b;
+  // block_of_[v] is the owner block of listener v. Computed once, recycled
+  // every round; it fixes the dispatch order (hence the erasure-draw
+  // mapping) and is the partition src/dist assigns to its ranks.
   std::vector<node_id> block_bounds_;
   std::vector<std::uint8_t> block_of_;
-  // Per-block first-touch lists (the dispatch order within each block);
-  // capacity fixed to the block size so SIMD kernels can bulk-append.
+  // Per-block first-touch lists (the dispatch order within each block),
+  // capacity fixed to the block size.
   std::vector<touch_list> block_touched_;
-  // Phase A scratch: per transmitter, kNumBlocks+1 row offsets.
-  std::vector<std::uint32_t> row_split_;
-  std::size_t min_parallel_volume_ = 0;
-  unsigned borrowed_workers_ = 0;
   // Non-null when the process-wide remote-walk hook adopted this network:
-  // stepped rounds route through it instead of the local walks, and adj_
+  // stepped rounds route through it instead of serial_walk, and adj_
   // stays empty (the hook's ranks hold the partitioned adjacency).
   remote_walk* remote_ = nullptr;
-  // Auto mode re-polls the worker budget between rounds: a big trial
-  // constructed while the pool was busy grows its team as scenario workers
-  // finish and return their slots (byte-identical results at any size).
-  bool auto_shards_ = false;
-  int auto_poll_ = 0;
-  std::unique_ptr<shard_team> team_;
-  // This round's row-walk kernels, resolved from the active SIMD tier in
-  // prepare_round (nullptr = the inlined scalar walk). Re-read every round
-  // so set_simd_level() takes effect on live networks.
-  const detail::walk_kernels* kernels_ = nullptr;
-  std::int64_t simd_stepped_ = 0;  ///< stepped rounds that used kernels_
   // flush_totals() high-water marks (what was already published).
   std::int64_t flushed_stepped_ = 0;
   std::int64_t flushed_skipped_ = 0;
-  std::int64_t flushed_simd_ = 0;
 };
 
 }  // namespace rn::radio

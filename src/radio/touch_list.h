@@ -1,12 +1,10 @@
 // Flat per-block first-touch list used by the round walk.
 //
-// Each shard block keeps the listeners its walk touched this round, in
+// Each listener block keeps the listeners the walk touched this round, in
 // first-touch order — that order *is* the reception dispatch order within the
-// block (channel-v1). Capacity is fixed when the shard plan is built, to the
+// block (channel-v1). Capacity is fixed when the block plan is built, to the
 // block's node count: a listener is appended at most once per round, so the
-// backing array never grows. That makes `push` a single unconditional store
-// on the scalar path, and gives the SIMD kernels a stable tail window they
-// can compress-store fresh listener ids into without bounds checks.
+// backing array never grows and `push` is a single unconditional store.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +17,7 @@ namespace rn::radio {
 class touch_list {
  public:
   /// (Re)allocates the backing array for a block of `capacity` nodes and
-  /// empties the list. Called once per block when the shard plan is built.
+  /// empties the list. Called once per block when the block plan is built.
   void reset(std::size_t capacity) {
     storage_.assign(capacity, 0);
     size_ = 0;
@@ -31,12 +29,6 @@ class touch_list {
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] const node_id* begin() const { return storage_.data(); }
   [[nodiscard]] const node_id* end() const { return storage_.data() + size_; }
-
-  /// Bulk-append window for the SIMD kernels: write consecutive ids at
-  /// `tail()` (capacity is guaranteed — at most one entry per block node),
-  /// then commit them with `advance(count)`.
-  [[nodiscard]] node_id* tail() { return storage_.data() + size_; }
-  void advance(std::size_t n) { size_ += n; }
 
  private:
   std::vector<node_id> storage_;

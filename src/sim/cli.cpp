@@ -29,12 +29,10 @@ void print_usage(std::ostream& os, const char* prog) {
      << "                    scale sweeps are skipped; run them by id)\n"
      << "  --trials,     -t  Monte Carlo trials per scenario (default: per"
         " experiment)\n"
-     << "  --threads,    -j  worker threads (default: hardware concurrency);\n"
-     << "                    results are identical at every thread count\n"
-     << "  --intra-trial-threads  shards per big-trial network: 0 = auto\n"
-     << "                    (above a node-count threshold, borrow pool\n"
-     << "                    capacity), 1 = serial, k = force k-thread teams;\n"
-     << "                    results are identical at every value\n"
+     << "  --threads,    -j  worker threads, at most " << kMaxThreads
+     << " (default:\n"
+     << "                    hardware concurrency); results are identical at\n"
+     << "                    every thread count\n"
      << "  --seed,       -s  run seed (default 1)\n"
      << "  --topology        ad-hoc workload: topology spec"
         " kind:param=value,...\n"
@@ -57,18 +55,7 @@ void print_usage(std::ostream& os, const char* prog) {
      << "  --list            list experiments, topology kinds and protocols\n";
 }
 
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    const auto d = static_cast<std::uint64_t>(c - '0');
-    if (v > (std::numeric_limits<std::uint64_t>::max() - d) / 10) return false;
-    v = v * 10 + d;
-  }
-  out = v;
-  return true;
-}
+constexpr std::uint64_t kSizeMax = std::numeric_limits<std::size_t>::max();
 
 /// The shared ad-hoc builder's spec for --topology/--protocol/--sweep (the
 /// broadcast service assembles the same struct from request JSON).
@@ -90,6 +77,28 @@ void set_timing_extension(timing_extension fn) {
   g_timing_extension = std::move(fn);
 }
 
+bool parse_flag_value(std::string_view flag, std::string_view text,
+                      std::uint64_t lo, std::uint64_t hi, std::uint64_t& out) {
+  constexpr std::uint64_t u64_max = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t v = 0;
+  bool ok = !text.empty();
+  for (const char c : text) {
+    const auto d = static_cast<std::uint64_t>(c - '0');
+    if (c < '0' || c > '9' || v > (u64_max - d) / 10) {
+      ok = false;  // not a decimal digit, or the value overflows 64 bits
+      break;
+    }
+    v = v * 10 + d;
+  }
+  if (!ok || v < lo || v > hi) {
+    std::cerr << "bad value for " << flag << ": " << text << " (want an"
+              << " integer in [" << lo << ", " << hi << "])\n";
+    return false;
+  }
+  out = v;
+  return true;
+}
+
 bool parse_cli(int argc, char** argv, cli_options& out) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -99,6 +108,10 @@ bool parse_cli(int argc, char** argv, cli_options& out) {
         return nullptr;
       }
       return argv[++i];
+    };
+    auto number = [&](std::uint64_t lo, std::uint64_t hi, std::uint64_t& n) {
+      const char* v = value(arg);
+      return v != nullptr && parse_flag_value(arg, v, lo, hi, n);
     };
     if (arg == "--help" || arg == "-h") {
       out.help = true;
@@ -134,35 +147,21 @@ bool parse_cli(int argc, char** argv, cli_options& out) {
       out.options = v;
     } else if (arg == "--no-fast-forward") {
       out.no_fast_forward = true;
-    } else if (arg == "--trials" || arg == "-t" || arg == "--threads" ||
-               arg == "-j" || arg == "--seed" || arg == "-s" ||
-               arg == "--messages" || arg == "--intra-trial-threads") {
-      const char* v = value(arg);
-      if (v == nullptr) return false;
+    } else if (arg == "--trials" || arg == "-t") {
       std::uint64_t n = 0;
-      if (!parse_u64(v, n)) {
-        std::cerr << "bad value for " << arg << ": " << v << "\n";
+      if (!number(1, kSizeMax, n)) return false;
+      out.trials = static_cast<std::size_t>(n);
+    } else if (arg == "--threads" || arg == "-j") {
+      std::uint64_t n = 0;
+      if (!number(0, kMaxThreads, n)) return false;
+      out.threads = static_cast<unsigned>(n);
+    } else if (arg == "--messages") {
+      std::uint64_t n = 0;
+      if (!number(1, kSizeMax, n)) return false;
+      out.messages = static_cast<std::size_t>(n);
+    } else if (arg == "--seed" || arg == "-s") {
+      if (!number(0, std::numeric_limits<std::uint64_t>::max(), out.seed))
         return false;
-      }
-      if (arg == "--trials" || arg == "-t") {
-        if (n == 0) {
-          std::cerr << "--trials must be >= 1\n";
-          return false;
-        }
-        out.trials = static_cast<std::size_t>(n);
-      } else if (arg == "--threads" || arg == "-j") {
-        out.threads = static_cast<unsigned>(n);
-      } else if (arg == "--intra-trial-threads") {
-        out.intra_trial_threads = static_cast<unsigned>(n);
-      } else if (arg == "--messages") {
-        if (n == 0) {
-          std::cerr << "--messages must be >= 1\n";
-          return false;
-        }
-        out.messages = static_cast<std::size_t>(n);
-      } else {
-        out.seed = n;
-      }
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
       return false;
@@ -253,11 +252,6 @@ int run_suite(int argc, char** argv) {
   }
 
   set_fast_forward(!opt.no_fast_forward);
-  // Worker capacity is shared between the scenario pool and intra-trial
-  // shard teams; --intra-trial-threads picks how big trials use it (auto by
-  // default — byte-identical results at every value, so purely a perf knob).
-  radio::set_worker_budget(opt.threads);
-  set_intra_trial_threads(opt.intra_trial_threads);
 
   json_value all = json_value::array();
   json_value timing_rows = json_value::array();
@@ -274,7 +268,6 @@ int run_suite(int argc, char** argv) {
     cfg.seed = opt.seed;
     if (!opt.timing_path.empty()) rss_resets = reset_peak_rss() && rss_resets;
     const engine_snapshot before = engine_counters();
-    const shard_snapshot shards_before = shard_counters();
     const auto t0 = std::chrono::steady_clock::now();  // rn-lint: allow(R1) wall_ms measurement for the timing sidecar, never results JSON
     experiment_result result;
     try {
@@ -305,27 +298,6 @@ int run_suite(int argc, char** argv) {
           resolve_threads(cfg.threads, result.scenarios.size() * cfg.trials));
       row["stepped_rounds"] = after.stepped_rounds - before.stepped_rounds;
       row["skipped_rounds"] = after.skipped_rounds - before.skipped_rounds;
-      // SIMD-vs-scalar row-walk split of the stepped rounds (v4): which
-      // kernel tier actually resolved this experiment's channel work.
-      const std::int64_t simd_rounds =
-          after.simd_stepped_rounds - before.simd_stepped_rounds;
-      row["simd_rounds"] = simd_rounds;
-      row["scalar_rounds"] =
-          (after.stepped_rounds - before.stepped_rounds) - simd_rounds;
-      // Intra-trial backend evidence: rounds whose row walks were sharded
-      // and the per-team-slot busy time they consumed (slot 0 = the
-      // stepping thread). Deltas, so each experiment reports its own work.
-      const shard_snapshot shards_after = shard_counters();
-      row["parallel_rounds"] =
-          shards_after.parallel_rounds - shards_before.parallel_rounds;
-      json_value shard_ms = json_value::array();
-      for (std::size_t s = 0; s < shards_after.busy_ns.size(); ++s) {
-        const std::int64_t prev = s < shards_before.busy_ns.size()
-                                      ? shards_before.busy_ns[s]
-                                      : 0;
-        shard_ms.push_back((shards_after.busy_ns[s] - prev) / 1e6);
-      }
-      row["shard_busy_ms"] = std::move(shard_ms);
       // This experiment's own peak (high-water mark since the reset above);
       // falls back to the monotone process maximum where resets are
       // unsupported — see "rss_resets" at the top level.
@@ -348,24 +320,21 @@ int run_suite(int argc, char** argv) {
     // v3: per-experiment peak_rss_kb became a per-run high-water mark (reset
     // between experiments); the top-level field stays the monotone process
     // maximum, and rss_resets records whether the kernel honored the resets.
-    // v4: adds the active SIMD kernel tier ("simd") plus per-experiment
-    // simd_rounds/scalar_rounds — execution evidence only; the results JSON
-    // stays byte-identical across tiers, like every other engine knob.
-    timing["schema"] = "rn-bench-timing-v4";
-    timing["simd"] = radio::to_string(radio::active_simd_level());
+    // v4 added the SIMD kernel tier and the intra-trial shard counters; v7
+    // drops them with the tiers themselves, and rn_dist no longer re-stamps
+    // the name (its rank fields ride on v7 too) — execution evidence only;
+    // the results JSON is untouched.
+    timing["schema"] = "rn-bench-timing-v7";
     timing["fast_forward"] = !opt.no_fast_forward;
     timing["seed"] = opt.seed;
     // 0 = hardware concurrency
     timing["threads"] = static_cast<std::uint64_t>(opt.threads);
-    // 0 = auto (node-count threshold + borrowed pool capacity)
-    timing["intra_trial_threads"] =
-        static_cast<std::uint64_t>(opt.intra_trial_threads);
     timing["rss_resets"] = rss_resets;
     timing["experiments"] = std::move(timing_rows);
     timing["total_wall_ms"] = total_wall_ms;
     timing["peak_rss_kb"] = process_peak_rss_kb();
-    // v5 (distributed runs only): the installed extension re-stamps the
-    // schema and adds rank counters — see tools/rn_dist.
+    // Distributed runs only: the installed extension adds rank counters —
+    // see tools/rn_dist.
     if (g_timing_extension) g_timing_extension(timing);
     std::ofstream out(opt.timing_path);
     if (!out) {

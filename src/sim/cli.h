@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "sim/json.h"
 
@@ -17,31 +18,35 @@ namespace rn::sim {
 
 /// Amends the timing sidecar object just before it is written — the seam a
 /// frontend (tools/rn_dist) uses to add execution-backend evidence, e.g.
-/// bumping the schema to rn-bench-timing-v5 and attaching per-rank RSS and
-/// transport counters. Results JSON is never touched: like every other
+/// per-rank RSS and transport counters. Results JSON is never touched: like every other
 /// engine knob, the distributed backend may only show up in the sidecar.
 using timing_extension = std::function<void(json_value& timing)>;
 
 /// Installs (empty clears) the process-wide sidecar amendment, applied by
-/// run_suite after the v4 fields are in place.
+/// run_suite after the v7 fields are in place.
 void set_timing_extension(timing_extension fn);
+
+/// Upper bound on --threads: the trial pool starts one OS thread per worker,
+/// so an unbounded value would let one flag start millions of them.
+inline constexpr unsigned kMaxThreads = 1024;
+
+/// Parses `text` as a decimal integer in [lo, hi] for `flag`; on anything
+/// else (sign, junk, overflow, out of range) prints why on stderr and
+/// returns false. Shared by every numeric flag of bench_suite and rn_dist.
+[[nodiscard]] bool parse_flag_value(std::string_view flag,
+                                    std::string_view text, std::uint64_t lo,
+                                    std::uint64_t hi, std::uint64_t& out);
 
 struct cli_options {
   std::string experiment;    ///< id, or "all" (skips slow-labeled sweeps)
   std::size_t trials = 0;    ///< 0 = each experiment's default_trials
-  unsigned threads = 0;      ///< 0 = hardware concurrency
-  /// Shards per big-trial network: 0 = auto (networks above the intra-trial
-  /// node threshold borrow worker capacity the trial pool is not using),
-  /// 1 = serial row walks, k >= 2 = force k-thread teams. Results are
-  /// byte-identical at every value.
-  unsigned intra_trial_threads = 0;
+  unsigned threads = 0;      ///< 0 = hardware concurrency; <= kMaxThreads
   std::uint64_t seed = 1;
   std::string json_path;     ///< empty = no JSON output
-  /// Wall-clock / engine-counter / peak-RSS sidecar (rn-bench-timing-v4:
+  /// Wall-clock / engine-counter / peak-RSS sidecar (rn-bench-timing-v7:
   /// per-experiment peak_rss_kb is a per-run high-water mark where the
   /// kernel supports resets, with the process-lifetime maximum kept at the
-  /// top level; v4 adds the active SIMD kernel tier and per-experiment
-  /// simd/scalar round splits). Kept separate from --json so result files stay
+  /// top level). Kept separate from --json so result files stay
   /// byte-identical across thread counts and execution modes; the CI perf
   /// gate trends this file.
   std::string timing_path;

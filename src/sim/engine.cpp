@@ -72,20 +72,6 @@ engine_snapshot engine_counters() {
   return radio::network::process_totals();
 }
 
-void set_intra_trial_threads(unsigned n) {
-  radio::intra_trial_policy p = radio::get_intra_trial_policy();
-  p.threads = n;
-  radio::set_intra_trial_policy(p);
-}
-
-unsigned intra_trial_threads() {
-  return radio::get_intra_trial_policy().threads;
-}
-
-shard_snapshot shard_counters() {
-  return radio::network::process_shard_totals();
-}
-
 std::int64_t peak_rss_kb() {
   // Prefer VmHWM: unlike getrusage's ru_maxrss it observes clear_refs
   // resets, which is what makes per-run peaks possible at all.

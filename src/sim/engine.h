@@ -26,19 +26,9 @@ using engine_snapshot = radio::engine_totals;
 /// to attribute work to a run).
 [[nodiscard]] engine_snapshot engine_counters();
 
-/// Intra-trial parallelism knob: shards per big-trial network. 1 = serial
-/// (default), 0 = auto — networks above the radio policy's node threshold
-/// borrow whatever worker capacity the trial pool is not using, k >= 2
-/// forces k-thread teams everywhere. Results are byte-identical at every
-/// value; only the timing sidecar can tell the difference.
-void set_intra_trial_threads(unsigned n);
-[[nodiscard]] unsigned intra_trial_threads();
-
-using shard_snapshot = radio::shard_totals;
-
-/// Cumulative intra-trial shard counters/timing for this process (monotone;
-/// diff two snapshots to attribute per-shard busy time to a run).
-[[nodiscard]] shard_snapshot shard_counters();
+// read only by perfbench/driver.cpp; delete with the next benchmark PR
+inline void set_intra_trial_threads(unsigned) {}
+// end of the perfbench/driver.cpp block
 
 /// Peak resident-set size of this process in kilobytes (0 where the platform
 /// offers neither /proc nor getrusage). High-water mark since process start

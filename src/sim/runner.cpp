@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/check.h"
-#include "radio/network.h"
 
 namespace rn::sim {
 
@@ -42,28 +41,13 @@ void run_parallel(std::size_t count, unsigned threads,
     }
   };
 
-  // Every worker (the caller included) holds one slot of the shared worker
-  // budget while it runs and returns it the moment its queue drains — so
-  // the capacity a finished scenario worker frees up is immediately
-  // borrowable by a live big trial's intra-trial shard team instead of
-  // idling. The requested worker count itself is always honored (an
-  // explicit --threads beats the budget; intra-trial auto mode is what
-  // adapts), so borrowing here is accounting, not admission control.
-  std::atomic<int> to_return{
-      static_cast<int>(radio::borrow_workers(workers))};
-  auto work_and_release = [&work, &to_return] {
-    work();
-    if (to_return.fetch_sub(1, std::memory_order_relaxed) > 0)
-      radio::return_workers(1);
-  };
   if (workers == 1) {
-    work_and_release();
+    work();
   } else {
     std::vector<std::thread> pool;
     pool.reserve(workers - 1);
-    for (unsigned i = 0; i < workers - 1; ++i)
-      pool.emplace_back(work_and_release);
-    work_and_release();
+    for (unsigned i = 0; i < workers - 1; ++i) pool.emplace_back(work);
+    work();
     for (auto& th : pool) th.join();
   }
   if (first_error) std::rethrow_exception(first_error);

@@ -100,14 +100,6 @@ void service::register_metrics() {
                             double(t.stepped_rounds) + double(t.skipped_rounds);
                         return up > 0 ? rounds / up : 0.0;
                       });
-  registry_.add_counter_fn(
-      "rn_shard_busy_seconds_total",
-      "Busy time across intra-trial shard team slots.", [] {
-        const auto t = sim::shard_counters();
-        double ns = 0;
-        for (const auto b : t.busy_ns) ns += double(b);
-        return ns / 1e9;
-      });
   registry_.add_gauge("rn_peak_rss_kb",
                       "Monotone process-lifetime peak resident set (kB).",
                       [] { return double(sim::process_peak_rss_kb()); });

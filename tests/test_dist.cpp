@@ -1,6 +1,6 @@
-// Distributed backend: the hit-word merge monoid, streamed-vs-filtered
-// partitioned views, partition_walker identity against a serial reference
-// at every rank/thread split, fork-only session byte-identity through the
+// Distributed backend: streamed-vs-filtered partitioned views,
+// partition_walker identity against a serial reference at every rank/thread
+// split, fork-only session byte-identity through the
 // declarative runner, wire-level fuzz of the framing error paths, and the
 // fault matrix — injected crashes, wedges, truncations, and delays must
 // recover (respawn or degrade) with byte-identical results JSON.
@@ -20,7 +20,6 @@
 #include "common/check.h"
 #include "core/params.h"
 #include "dist/fault.h"
-#include "dist/merge.h"
 #include "dist/session.h"
 #include "dist/supervisor.h"
 #include "dist/wire.h"
@@ -37,89 +36,13 @@ namespace {
 
 constexpr unsigned kBlocks = core::kChannelContractBlocks;
 
-// --- hit-word merge monoid ------------------------------------------------
+// --- partitioned views ----------------------------------------------------
 
 /// The serial walk's per-reception update: transmitter index i touches the
 /// listener holding word hs.
 std::uint64_t serial_update(std::uint64_t hs, std::uint32_t i) {
   return ((hs + (std::uint64_t{1} << 32)) & 0xffffffff00000000ULL) | i;
 }
-
-TEST(MergeHitWords, MonoidLaws) {
-  std::mt19937_64 r(1234);
-  std::vector<std::uint64_t> words = {0, 1, (std::uint64_t{1} << 32) | 7};
-  for (int k = 0; k < 64; ++k) words.push_back(r());
-  for (const std::uint64_t a : words) {
-    EXPECT_EQ(merge_hit_words(a, 0), a);  // 0 is the identity
-    EXPECT_EQ(merge_hit_words(0, a), a);
-    for (const std::uint64_t b : words) {
-      EXPECT_EQ(merge_hit_words(a, b), merge_hit_words(b, a));
-      for (const std::uint64_t c : words)
-        EXPECT_EQ(merge_hit_words(merge_hit_words(a, b), c),
-                  merge_hit_words(a, merge_hit_words(b, c)));
-    }
-  }
-}
-
-TEST(MergeHitWords, CountWrapsLikeTheSerialWalk) {
-  // The serial update accumulates the count mod 2^32; the merge has to wrap
-  // identically for bit-equality, not merely equivalence.
-  const std::uint64_t a = (0xffffffffULL << 32) | 5;  // count 2^32 - 1
-  const std::uint64_t b = (std::uint64_t{2} << 32) | 7;
-  EXPECT_EQ(merge_hit_words(a, b), (std::uint64_t{1} << 32) | 7);
-}
-
-TEST(MergeHitWords, AnyTransmitterPartitionRecoversTheSerialWord) {
-  // One listener, m transmitters with global indices 0..m-1, a random
-  // subset of which touch it. Split the index set across ranks arbitrarily
-  // (each rank walks its own indices in ascending order, as the walker
-  // does), then merge the partial words in a shuffled rank order: the
-  // result must be bit-equal to the serial left-to-right walk.
-  std::mt19937_64 r(99);
-  for (int rep = 0; rep < 200; ++rep) {
-    const unsigned m = 1 + unsigned(r() % 40);
-    std::vector<std::uint32_t> touching;
-    for (std::uint32_t i = 0; i < m; ++i)
-      if (r() % 2 == 0) touching.push_back(i);
-
-    std::uint64_t serial = 0;
-    for (const std::uint32_t i : touching) serial = serial_update(serial, i);
-
-    const unsigned ranks = 1 + unsigned(r() % 5);
-    std::vector<unsigned> owner(m);
-    for (auto& o : owner) o = unsigned(r() % ranks);
-    std::vector<std::uint64_t> partial(ranks, 0);
-    for (const std::uint32_t i : touching)
-      partial[owner[i]] = serial_update(partial[owner[i]], i);
-
-    std::vector<unsigned> order(ranks);
-    for (unsigned k = 0; k < ranks; ++k) order[k] = k;
-    std::shuffle(order.begin(), order.end(), r);
-    std::uint64_t merged = 0;
-    for (const unsigned k : order)
-      merged = merge_hit_words(merged, partial[k]);
-    ASSERT_EQ(merged, serial) << "rep " << rep;
-  }
-}
-
-TEST(MergeHitWords, BoundaryListenerWithTransmittersInTwoRanks) {
-  // The concrete boundary shape: a listener sits in the last block of rank
-  // A's range; its transmitting neighbors hold global indices {2, 5} on one
-  // rank and {3, 9} on the other. Each rank's partial word walks its own
-  // indices in ascending order; the merge recovers the serial word over
-  // {2, 3, 5, 9} — count 4, last transmitter 9 — in either merge order.
-  std::uint64_t rank_a = 0, rank_b = 0;
-  for (const std::uint32_t i : {2u, 5u}) rank_a = serial_update(rank_a, i);
-  for (const std::uint32_t i : {3u, 9u}) rank_b = serial_update(rank_b, i);
-  std::uint64_t serial = 0;
-  for (const std::uint32_t i : {2u, 3u, 5u, 9u})
-    serial = serial_update(serial, i);
-  EXPECT_EQ(merge_hit_words(rank_a, rank_b), serial);
-  EXPECT_EQ(merge_hit_words(rank_b, rank_a), serial);
-  EXPECT_EQ(serial, (std::uint64_t{4} << 32) | 9);
-}
-
-// --- partitioned views ----------------------------------------------------
 
 graph::block_plan plan_of(const graph::graph& g) {
   std::vector<std::uint32_t> prefix(g.node_count() + 1, 0);

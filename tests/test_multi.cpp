@@ -97,24 +97,13 @@ INSTANTIATE_TEST_SUITE_P(Sweep, UnknownMultiTest,
 
 // --- runner coverage: multi-ring handoff and two-word coefficient headers --
 
-/// Runs `run` under every execution setting that must not change a result —
-/// fast-forward on/off, a 1- or 4-thread intra-trial shard team (volume floor
-/// lowered so every stepped round shards) — and checks all runs agree field
-/// for field. Returns the first run.
+/// Runs `run` with fast-forward on and off — an execution setting that must
+/// not change a result — and checks both runs agree field for field.
+/// Returns the first run.
 template <class Run>
 multi_broadcast_result expect_execution_invariant(Run run) {
-  const radio::intra_trial_policy saved = radio::get_intra_trial_policy();
   std::vector<multi_broadcast_result> runs;
-  for (const bool ff : {true, false}) {
-    for (const unsigned shards : {1u, 4u}) {
-      radio::intra_trial_policy pol = saved;
-      pol.threads = shards;
-      pol.min_parallel_volume = 0;
-      radio::set_intra_trial_policy(pol);
-      runs.push_back(run(ff));
-    }
-  }
-  radio::set_intra_trial_policy(saved);
+  for (const bool ff : {true, false}) runs.push_back(run(ff));
   const auto& a = runs.front();
   for (std::size_t i = 1; i < runs.size(); ++i) {
     const auto& b = runs[i];

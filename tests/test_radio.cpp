@@ -12,6 +12,7 @@
 #include "graph/generators.h"
 #include "radio/network.h"
 #include "radio/result.h"
+#include "reference_channel.h"
 
 namespace rn::radio {
 namespace {
@@ -227,301 +228,93 @@ TEST(RoundBuffer, DoubleTransmitIsContractError) {
   EXPECT_THROW(net.step(txs, [](const reception&) {}), contract_error);
 }
 
-// --- intra-trial sharded walk --------------------------------------------
+// --- differential test against the reference channel -------------------
 //
-// Contract under test: the sharded walk (listener blocks owned by exactly
-// one walker each, dispatch in fixed block order) observes, delivers, and
-// counts exactly what the serial walk does — reception for reception, in
-// the same order — at every team size.
+// Contract under test: network::step delivers exactly what the paper's
+// model says (tests/reference_channel.h, written from section 1.1 and the
+// channel-v1 order definition) — reception for reception, in the same order,
+// with the same erasure draws and the same counters.
 
-/// Steps both networks through the same transmit list and asserts that the
-/// full reception sequence (listener, observation, sender) matches.
-void expect_same_round(network& serial, network& sharded,
-                       const round_buffer& txs) {
-  std::vector<std::tuple<node_id, observation, node_id>> a, b;
-  serial.step(txs, [&](const reception& rx) {
-    a.emplace_back(rx.listener, rx.what, rx.from);
-  });
-  sharded.step(txs, [&](const reception& rx) {
-    b.emplace_back(rx.listener, rx.what, rx.from);
-  });
-  ASSERT_EQ(a, b);
-}
-
-TEST(ShardedStep, MatchesSerialWalkOnRandomRounds) {
-  const std::size_t n = 700;
-  const auto g = graph::random_gnp_connected(n, 10.0 / static_cast<double>(n), 7);
-  network serial(g, {.collision_detection = true});
-  network sharded(g, {.collision_detection = true});
-  sharded.set_min_parallel_volume(0);  // every non-empty round goes parallel
-  sharded.enable_intra_trial(4);
-  ASSERT_EQ(sharded.intra_trial_threads(), 4u);
-
-  std::vector<packet> beacons;
-  beacons.reserve(n);
-  for (node_id v = 0; v < n; ++v) beacons.push_back(packet::make_beacon(v));
-  rng r(123);
-  round_buffer txs;
-  for (int round = 0; round < 40; ++round) {
-    txs.clear();
-    // Sweep densities from ~every-other-node to ~1/64 so rounds exercise
-    // collisions, clean deliveries, and empty neighborhoods.
-    const int e = 1 + round % 6;
-    for (node_id v = 0; v < n; ++v)
-      if (r.with_probability_pow2(e)) txs.add(v, beacons[v]);
-    expect_same_round(serial, sharded, txs);
-  }
-  EXPECT_EQ(serial.stats().transmissions, sharded.stats().transmissions);
-  EXPECT_EQ(serial.stats().deliveries, sharded.stats().deliveries);
-  EXPECT_EQ(serial.stats().collisions_observed,
-            sharded.stats().collisions_observed);
-  EXPECT_EQ(serial.energy(), sharded.energy());
-}
-
-TEST(ShardedStep, BoundaryListenersHearCollisionsIdentically) {
-  // A star-of-stars whose hubs straddle the degree-balanced block
-  // boundaries: every hub hears a collision assembled from transmitters
-  // that live in *other* blocks, so any cross-shard hit-word race or
-  // dropped slice would change what a boundary listener observes.
-  graph::graph::builder b(600);
-  for (node_id hub = 0; hub < 600; hub += 60)
-    for (node_id leaf = 1; leaf < 60; ++leaf) b.add_edge(hub, hub + leaf);
-  for (node_id hub = 0; hub < 540; hub += 60) b.add_edge(hub, hub + 60);
-  const auto g = std::move(b).build();
-
-  network serial(g, {.collision_detection = true});
-  network sharded(g, {.collision_detection = true});
-  sharded.set_min_parallel_volume(0);
-  sharded.enable_intra_trial(3);
-
-  std::vector<packet> beacons;
-  beacons.reserve(600);
-  for (node_id v = 0; v < 600; ++v) beacons.push_back(packet::make_beacon(v));
-  round_buffer txs;
-  // All leaves transmit: every hub observes a collision; then exactly one
-  // leaf per star transmits: every hub hears a clean message.
-  for (node_id v = 0; v < 600; ++v)
-    if (v % 60 != 0) txs.add(v, beacons[v]);
-  expect_same_round(serial, sharded, txs);
-  txs.clear();
-  for (node_id hub = 0; hub < 600; hub += 60) txs.add(hub + 7, beacons[hub + 7]);
-  expect_same_round(serial, sharded, txs);
-  EXPECT_EQ(serial.stats().deliveries, sharded.stats().deliveries);
-  EXPECT_EQ(serial.stats().collisions_observed,
-            sharded.stats().collisions_observed);
-}
-
-TEST(ShardedStep, TeamResizeAndVolumeFloor) {
-  const auto g = star(64);
-  network net(g, {.collision_detection = true});
-  EXPECT_EQ(net.intra_trial_threads(), 1u);  // default policy: serial
-  net.enable_intra_trial(2);
-  EXPECT_EQ(net.intra_trial_threads(), 2u);
-  // Below the volume floor the team idles and the serial walk runs — the
-  // round must still resolve normally.
-  run_round(net, {{1, beacon(1)}});
-  EXPECT_EQ(net.stats().deliveries, 1);
-  net.enable_intra_trial(1);
-  EXPECT_EQ(net.intra_trial_threads(), 1u);
-  run_round(net, {{2, beacon(2)}});
-  EXPECT_EQ(net.stats().deliveries, 2);
-}
-
-TEST(ShardedStep, ErasureDrawsAreShardCountInvariant) {
-  // The erasure RNG is consumed at dispatch, which runs in the canonical
-  // block order — so lossy-channel results must also be byte-identical
-  // across team sizes.
-  const std::size_t n = 400;
-  const auto g = graph::random_gnp_connected(n, 8.0 / static_cast<double>(n), 3);
-  const model m{.collision_detection = false,
-                .erasure_prob = 0.4,
-                .erasure_seed = 99};
-  network serial(g, m);
-  network sharded(g, m);
-  sharded.set_min_parallel_volume(0);
-  sharded.enable_intra_trial(4);
-
-  std::vector<packet> beacons;
-  beacons.reserve(n);
-  for (node_id v = 0; v < n; ++v) beacons.push_back(packet::make_beacon(v));
-  rng r(5);
-  round_buffer txs;
-  for (int round = 0; round < 30; ++round) {
-    txs.clear();
-    for (node_id v = 0; v < n; ++v)
-      if (r.with_probability_pow2(2)) txs.add(v, beacons[v]);
-    expect_same_round(serial, sharded, txs);
-  }
-  EXPECT_GT(serial.stats().erasures, 0);
-  EXPECT_EQ(serial.stats().erasures, sharded.stats().erasures);
-}
-
-// Contract under test: the vectorized row-walk kernels (AVX2 / AVX-512)
-// produce the exact reception sequence of the scalar walk — same
-// listeners, same observations, same senders, same order, same erasure
-// draws — on every graph and at every intra-trial team size. The active
-// kernel is process-global state, so these tests record a scalar
-// reference log and replay the identical schedule under each detected
-// level on a fresh network.
-
-/// Restores the process-global kernel level on scope exit.
-struct simd_level_guard {
-  explicit simd_level_guard(simd_level l) : prev_(active_simd_level()) {
-    set_simd_level(l);
-  }
-  ~simd_level_guard() { set_simd_level(prev_); }
-  simd_level prev_;
+struct graph_case {
+  const char* name;
+  graph::graph g;
 };
 
-/// Every vector level this machine can actually run (empty on pre-AVX2
-/// hardware or RN_DISABLE_SIMD builds — the tests then pass vacuously,
-/// which is exactly the scalar-fallback contract).
-std::vector<simd_level> vector_levels() {
-  std::vector<simd_level> out;
-  for (simd_level l : {simd_level::avx2, simd_level::avx512})
-    if (l <= detected_simd_level()) out.push_back(l);
+std::vector<graph_case> reference_graphs() {
+  std::vector<graph_case> out;
+  out.push_back({"gnp", graph::random_gnp_connected(700, 10.0 / 700, 7)});
+  graph::layered_options lo;
+  lo.depth = 12;
+  lo.width = 40;
+  lo.edge_prob = 0.2;
+  lo.intra_prob = 0.05;
+  lo.seed = 11;
+  out.push_back({"layered", graph::random_layered(lo)});
+  out.push_back({"path", path(300)});
+  out.push_back({"star", star(200)});
   return out;
 }
 
-using rx_log = std::vector<std::tuple<node_id, observation, node_id>>;
-
-/// Replays a fixed multi-round transmit schedule on a fresh network under
-/// the given kernel level and team size; returns the full reception log.
-rx_log replay_schedule(const graph::graph& g, const model& m, simd_level lvl,
-                       unsigned team,
-                       const std::vector<std::vector<node_id>>& schedule) {
-  simd_level_guard guard(lvl);
+void expect_matches_reference(const graph::graph& g, const model& m,
+                              std::uint64_t seed) {
   network net(g, m);
-  if (team > 1) {
-    net.set_min_parallel_volume(0);
-    net.enable_intra_trial(team);
-  }
+  ref::reference_channel oracle(g, m);
+  const std::size_t n = g.node_count();
   std::vector<packet> beacons;
-  beacons.reserve(g.node_count());
-  for (node_id v = 0; v < g.node_count(); ++v)
-    beacons.push_back(packet::make_beacon(v));
-  rx_log log;
-  round_buffer txs;
-  for (const auto& round : schedule) {
-    txs.clear();
-    for (node_id v : round) txs.add(v, beacons[v]);
-    net.step(txs, [&](const reception& rx) {
-      log.emplace_back(rx.listener, rx.what, rx.from);
-    });
-  }
-  return log;
-}
-
-/// Random schedule sweeping densities from ~1/2 to ~1/2^6 active nodes.
-std::vector<std::vector<node_id>> random_schedule(std::size_t n, int rounds,
-                                                  std::uint64_t seed) {
+  beacons.reserve(n);
+  for (node_id v = 0; v < n; ++v) beacons.push_back(packet::make_beacon(v));
   rng r(seed);
-  std::vector<std::vector<node_id>> schedule(rounds);
-  for (int round = 0; round < rounds; ++round) {
+  round_buffer txs;
+  std::vector<node_id> tx_ids;
+  for (int round = 0; round < 40; ++round) {
+    // Sweep densities from ~every-other-node to ~1/64, in a shuffled
+    // transmit order, so rounds mix collisions, clean deliveries, empty
+    // neighborhoods, and first touches that are not in id order.
     const int e = 1 + round % 6;
+    tx_ids.clear();
     for (node_id v = 0; v < n; ++v)
-      if (r.with_probability_pow2(e)) schedule[round].push_back(v);
+      if (r.with_probability_pow2(e)) tx_ids.push_back(v);
+    for (std::size_t i = tx_ids.size(); i > 1; --i)
+      std::swap(tx_ids[i - 1], tx_ids[r.uniform(i)]);
+    txs.clear();
+    for (const node_id v : tx_ids) txs.add(v, beacons[v]);
+    std::vector<ref::ref_reception> got;
+    net.step(txs, [&](const reception& rx) {
+      got.emplace_back(rx.listener, rx.what,
+                       rx.what == observation::message ? rx.from : no_node);
+      EXPECT_TRUE(rx.what != observation::message ||
+                  rx.pkt == &beacons[rx.from]);
+    });
+    ASSERT_EQ(got, oracle.step(tx_ids)) << "round " << round;
   }
-  return schedule;
+  const network_stats& a = net.stats();
+  const network_stats& b = oracle.stats();
+  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.transmissions, b.transmissions);
+  EXPECT_EQ(a.deliveries, b.deliveries);
+  EXPECT_EQ(a.collisions_observed, b.collisions_observed);
+  EXPECT_EQ(a.erasures, b.erasures);
+  EXPECT_EQ(net.energy(), oracle.energy());
+  EXPECT_GT(b.deliveries, 0);
+  // Every configuration exercises the branches it enables.
+  EXPECT_TRUE(m.erasure_prob == 0.0 || b.erasures > 0);
+  EXPECT_TRUE(!m.collision_detection || b.collisions_observed > 0);
 }
 
-TEST(SimdStep, MatchesScalarOnRandomRounds) {
-  const std::size_t n = 700;
-  const auto g = graph::random_gnp_connected(n, 10.0 / static_cast<double>(n), 7);
-  const model m{.collision_detection = true};
-  const auto schedule = random_schedule(n, 40, 123);
-  const rx_log ref = replay_schedule(g, m, simd_level::scalar, 1, schedule);
-  ASSERT_FALSE(ref.empty());
-  for (simd_level lvl : vector_levels()) {
-    SCOPED_TRACE(to_string(lvl));
-    EXPECT_EQ(ref, replay_schedule(g, m, lvl, 1, schedule));
-  }
-}
-
-TEST(SimdStep, BlockBoundaryListenersAndScalarTails) {
-  // Star-of-stars with 59-leaf rows: each transmitter row is seven full
-  // 8-lane batches plus a ragged tail, and the hubs straddle the sharded
-  // walk's block boundaries — covering the batch loop, the scalar tail,
-  // and the compress-store append in one graph.
-  graph::graph::builder b(600);
-  for (node_id hub = 0; hub < 600; hub += 60)
-    for (node_id leaf = 1; leaf < 60; ++leaf) b.add_edge(hub, hub + leaf);
-  for (node_id hub = 0; hub < 540; hub += 60) b.add_edge(hub, hub + 60);
-  const auto g = std::move(b).build();
-  const model m{.collision_detection = true};
-
-  std::vector<std::vector<node_id>> schedule(2);
-  for (node_id v = 0; v < 600; ++v)  // all leaves: hubs hear collisions
-    if (v % 60 != 0) schedule[0].push_back(v);
-  for (node_id hub = 0; hub < 600; hub += 60)  // one leaf per star: clean
-    schedule[1].push_back(hub + 7);
-
-  const rx_log ref = replay_schedule(g, m, simd_level::scalar, 1, schedule);
-  for (simd_level lvl : vector_levels()) {
-    SCOPED_TRACE(to_string(lvl));
-    EXPECT_EQ(ref, replay_schedule(g, m, lvl, 1, schedule));
-  }
-}
-
-TEST(SimdStep, ErasureDrawsAreKernelInvariant) {
-  // Erasure draws happen at dispatch, which consumes the touch lists the
-  // kernels build — identical first-touch order is what keeps the lossy
-  // channel byte-identical, so test it directly at erasure_prob > 0.
-  const std::size_t n = 400;
-  const auto g = graph::random_gnp_connected(n, 8.0 / static_cast<double>(n), 3);
-  const model m{.collision_detection = false,
-                .erasure_prob = 0.4,
-                .erasure_seed = 99};
-  const auto schedule = random_schedule(n, 30, 5);
-  const rx_log ref = replay_schedule(g, m, simd_level::scalar, 1, schedule);
-  ASSERT_FALSE(ref.empty());
-  for (simd_level lvl : vector_levels()) {
-    SCOPED_TRACE(to_string(lvl));
-    EXPECT_EQ(ref, replay_schedule(g, m, lvl, 1, schedule));
-  }
-}
-
-TEST(SimdStep, ComposesWithShardedTeams) {
-  // Kernel level x team size cross-product: the sharded walk calls the
-  // same kernels through the owner-routed entry point, so SIMD-on-sharded
-  // must equal scalar-serial too.
-  const std::size_t n = 700;
-  const auto g = graph::random_gnp_connected(n, 10.0 / static_cast<double>(n), 7);
-  const model m{.collision_detection = true};
-  const auto schedule = random_schedule(n, 20, 42);
-  const rx_log ref = replay_schedule(g, m, simd_level::scalar, 1, schedule);
-  for (simd_level lvl : vector_levels()) {
-    for (unsigned team : {2u, 4u}) {
-      SCOPED_TRACE(std::string(to_string(lvl)) + " x team " +
-                   std::to_string(team));
-      EXPECT_EQ(ref, replay_schedule(g, m, lvl, team, schedule));
+TEST(ReferenceChannel, StepMatchesModelOnRandomRounds) {
+  std::uint64_t seed = 123;
+  for (const graph_case& c : reference_graphs()) {
+    for (const bool cd : {true, false}) {
+      for (const double erasure : {0.0, 0.3}) {
+        SCOPED_TRACE(std::string(c.name) + (cd ? " cd" : " no-cd") +
+                     " erasure " + std::to_string(erasure));
+        const model m{.collision_detection = cd,
+                      .erasure_prob = erasure,
+                      .erasure_seed = 99};
+        expect_matches_reference(c.g, m, ++seed);
+      }
     }
   }
-}
-
-TEST(SimdStep, LevelApiClampsAndReports) {
-  const simd_level prev = active_simd_level();
-  set_simd_level(simd_level::avx512);  // clamped to what the CPU has
-  EXPECT_LE(active_simd_level(), detected_simd_level());
-  set_simd_level(simd_level::scalar);  // scalar is always available
-  EXPECT_EQ(active_simd_level(), simd_level::scalar);
-  EXPECT_STREQ(to_string(simd_level::scalar), "scalar");
-  EXPECT_STREQ(to_string(simd_level::avx2), "avx2");
-  EXPECT_STREQ(to_string(simd_level::avx512), "avx512");
-  set_simd_level(prev);
-}
-
-TEST(ShardedStep, WorkerBudgetBorrowAndReturn) {
-  set_worker_budget(4);
-  EXPECT_EQ(worker_budget(), 4u);
-  EXPECT_EQ(borrow_workers(3), 3u);
-  EXPECT_EQ(borrow_workers(3), 1u);  // only one slot left
-  EXPECT_EQ(borrow_workers(1), 0u);  // exhausted
-  return_workers(2);
-  EXPECT_EQ(borrow_workers(5), 2u);
-  return_workers(4);
-  set_worker_budget(0);  // back to the hardware default
-  EXPECT_GE(worker_budget(), 1u);
 }
 
 TEST(CompletionTracker, Basics) {

@@ -4,14 +4,15 @@
 #include <chrono>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.h"
 #include "core/api.h"
 #include "core/params.h"
+#include "dist/session.h"
 #include "graph/topology.h"
-#include "radio/network.h"
 #include "sim/cli.h"
 #include "sim/engine.h"
 #include "sim/experiment.h"
@@ -366,78 +367,6 @@ TEST(Experiment, DeclarativeMatchesHandWrittenTrial) {
   }
 }
 
-// The intra-trial backend's acceptance contract: a layered n = 10^4
-// scenario produces byte-identical results JSON whether the row walks run
-// serially or sharded across a 4-thread team (and at any trial-pool thread
-// count on top). The volume floor is lowered so even the sparse late-phase
-// rounds exercise the sharded path.
-TEST(Experiment, IntraTrialShardCountByteIdentity) {
-  experiment e;
-  e.id = "shards";
-  e.title = e.claim = e.profile = "n/a";
-  e.make_scenarios = [] {
-    scenario sc;
-    sc.label = "layered-1e4";
-    sc.topology = graph::parse_topology_spec(
-        "layered:depth=50,width=200,edge_prob=0.1");
-    sc.options.prm = core::params::fast();
-    sc.probes = {{"gst-known", "gst_known"}, {"decay", "decay"}};
-    return std::vector<scenario>{std::move(sc)};
-  };
-  run_config cfg;
-  cfg.trials = 2;
-  cfg.seed = 31;
-
-  const radio::intra_trial_policy saved = radio::get_intra_trial_policy();
-  std::vector<std::string> dumps;
-  for (const unsigned shards : {1u, 4u}) {
-    for (const unsigned threads : {1u, 2u}) {
-      radio::intra_trial_policy pol = saved;
-      pol.threads = shards;
-      pol.min_parallel_volume = 0;
-      radio::set_intra_trial_policy(pol);
-      cfg.threads = threads;
-      dumps.push_back(to_json(e, run_experiment(e, cfg)).dump(2));
-    }
-  }
-  radio::set_intra_trial_policy(saved);
-  for (std::size_t i = 1; i < dumps.size(); ++i)
-    EXPECT_EQ(dumps[0], dumps[i]) << "config " << i;
-}
-
-// Same contract one level down: the full broadcast_result — rounds,
-// completion, channel counters, and the whole per-node energy vector —
-// must match field for field between a serial and a sharded run.
-TEST(Experiment, IntraTrialShardedEnergyAndRoundsIdentical) {
-  auto spec = graph::parse_topology_spec(
-      "layered:depth=50,width=200,edge_prob=0.1");
-  spec.seed = 4242;
-  const graph::graph g = graph::build_topology(spec);
-  core::options opt;
-  opt.prm = core::params::fast();
-  opt.seed = 77;
-
-  const radio::intra_trial_policy saved = radio::get_intra_trial_policy();
-  std::vector<core::broadcast_outcome> outcomes;
-  for (const unsigned shards : {1u, 4u}) {
-    radio::intra_trial_policy pol = saved;
-    pol.threads = shards;
-    pol.min_parallel_volume = 0;
-    radio::set_intra_trial_policy(pol);
-    outcomes.push_back(core::run_broadcast(g, "decay", {0, 1}, opt));
-  }
-  radio::set_intra_trial_policy(saved);
-  const auto& a = outcomes[0].base;
-  const auto& b = outcomes[1].base;
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.rounds_to_complete, b.rounds_to_complete);
-  EXPECT_EQ(a.rounds_executed, b.rounds_executed);
-  EXPECT_EQ(a.transmissions, b.transmissions);
-  EXPECT_EQ(a.deliveries, b.deliveries);
-  EXPECT_EQ(a.collisions_observed, b.collisions_observed);
-  EXPECT_EQ(a.energy, b.energy);
-}
-
 TEST(Experiment, UnknownProbeProtocolThrows) {
   experiment e;
   e.id = "bad";
@@ -502,16 +431,14 @@ TEST(Json, DeepNestingRaisesInsteadOfOverflowingTheStack) {
 TEST(Cli, ParsesAllFlags) {
   const char* argv[] = {"bench_suite", "--experiment", "e1", "--trials", "64",
                         "--threads",   "8",            "--seed", "5",
-                        "--json",      "out.json",
-                        "--intra-trial-threads", "4"};
+                        "--json",      "out.json"};
   cli_options opt;
-  ASSERT_TRUE(parse_cli(13, const_cast<char**>(argv), opt));
+  ASSERT_TRUE(parse_cli(11, const_cast<char**>(argv), opt));
   EXPECT_EQ(opt.experiment, "e1");
   EXPECT_EQ(opt.trials, 64u);
   EXPECT_EQ(opt.threads, 8u);
   EXPECT_EQ(opt.seed, 5u);
   EXPECT_EQ(opt.json_path, "out.json");
-  EXPECT_EQ(opt.intra_trial_threads, 4u);
 }
 
 TEST(Cli, ParsesAdhocWorkloadFlags) {
@@ -527,14 +454,71 @@ TEST(Cli, ParsesAdhocWorkloadFlags) {
   EXPECT_EQ(opt.messages, 3u);
 }
 
+/// Runs rn_dist's launcher-flag extraction on `argv` (program name added);
+/// returns whether it accepted, and leaves the remaining args in `rest`.
+bool take_dist_flags(std::vector<const char*> argv, dist::session_options& opt,
+                     std::vector<char*>& rest) {
+  argv.insert(argv.begin(), "rn_dist");
+  rest.clear();
+  for (const char* a : argv) rest.push_back(const_cast<char*>(a));
+  return dist::take_launcher_flags(rest, opt);
+}
+
 TEST(Cli, RejectsBadInput) {
-  cli_options opt;
-  const char* bad_flag[] = {"x", "--nope"};
-  EXPECT_FALSE(parse_cli(2, const_cast<char**>(bad_flag), opt));
-  const char* bad_num[] = {"x", "--trials", "abc"};
-  EXPECT_FALSE(parse_cli(3, const_cast<char**>(bad_num), opt));
-  const char* zero_trials[] = {"x", "--trials", "0"};
-  EXPECT_FALSE(parse_cli(3, const_cast<char**>(zero_trials), opt));
+  auto rejects = [](std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "x");
+    cli_options opt;
+    return !parse_cli(static_cast<int>(argv.size()),
+                      const_cast<char**>(argv.data()), opt);
+  };
+  EXPECT_TRUE(rejects({"--nope"}));
+  EXPECT_TRUE(rejects({"--trials", "abc"}));
+  EXPECT_TRUE(rejects({"--trials", "0"}));
+  EXPECT_TRUE(rejects({"--trials"}));
+  // Values that do not fit their field are refused, never wrapped: 2^32 + 1
+  // once cast to 1 worker thread.
+  EXPECT_TRUE(rejects({"-j", "4294967297"}));
+  EXPECT_TRUE(rejects({"--threads", "-1"}));
+  EXPECT_TRUE(rejects({"--seed", "18446744073709551616"}));
+  EXPECT_TRUE(rejects({"--messages", "0"}));
+  // --threads is capped: the trial pool starts one OS thread per worker.
+  EXPECT_TRUE(rejects({"--threads", std::to_string(kMaxThreads + 1).c_str()}));
+  EXPECT_FALSE(rejects({"--threads", std::to_string(kMaxThreads).c_str()}));
+  // bench_suite has no intra-trial knob; rn_dist takes its own flag.
+  EXPECT_TRUE(rejects({"--intra-trial-threads", "1"}));
+
+  // rn_dist's launcher flags: strtoul once wrapped "-1" and read "abc" as 0.
+  for (const std::vector<const char*>& bad :
+       std::vector<std::vector<const char*>>{
+           {"--ranks", "-1"},
+           {"--ranks", "0"},
+           {"--ranks", "33"},
+           {"--ranks", "4x"},
+           {"--ranks"},
+           {"--intra-trial-threads", "abc"},
+           {"--intra-trial-threads", "33"},
+           {"--round-deadline-ms", "4294967296"},
+           {"--max-respawns", ""}}) {
+    dist::session_options opt;
+    std::vector<char*> rest;
+    EXPECT_FALSE(take_dist_flags(bad, opt, rest)) << bad[0];
+  }
+}
+
+TEST(Cli, DistLauncherFlagsLeaveTheRestForBenchSuite) {
+  dist::session_options opt;
+  std::vector<char*> rest;
+  ASSERT_TRUE(take_dist_flags(
+      {"--ranks", "3", "-e", "e1", "--intra-trial-threads", "2",
+       "--backoff-ms", "10", "--fault-plan", "kill:rank=1,trial=0,round=3"},
+      opt, rest));
+  ASSERT_EQ(rest.size(), 3u);
+  EXPECT_STREQ(rest[1], "-e");
+  EXPECT_STREQ(rest[2], "e1");
+  EXPECT_EQ(opt.ranks, 3u);
+  EXPECT_EQ(opt.intra_trial_threads, 2u);
+  EXPECT_EQ(opt.policy.backoff_base_ms, 10u);
+  EXPECT_EQ(opt.fault_plan, "kill:rank=1,trial=0,round=3");
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Compare two bench timing files and fail on wall-clock regressions.
 
-Inputs are rn-bench-timing-v1..v5 sidecars written by `bench_suite --timing`
-(v5 adds the distributed-rank fields emitted by `rn_dist`)
+Inputs are rn-bench-timing-v1..v7 sidecars written by `bench_suite --timing`
+(v5/v6 and v7 runs of `rn_dist` add the distributed-rank fields)
 and/or google-benchmark JSON written by `bench_micro --benchmark_out=...`.
 The file kind is auto-detected. Tracked metrics:
 
@@ -42,11 +42,13 @@ Row = tuple[str, float | None, float | None, str]
 # v3 made the per-experiment peak_rss_kb a per-run high-water mark (reset
 # between experiments); the top-level peak_rss_kb stays process-monotone, so
 # the comparison logic is unchanged across versions. v4 added the active
-# SIMD kernel tier and per-experiment simd/scalar round splits — execution
-# evidence, not timings, so they ride along untracked here.
+# SIMD kernel tier and per-experiment simd/scalar round splits, and v7
+# dropped them again with the SIMD and shard tiers — execution evidence, not
+# timings, so neither version changes what is tracked here.
 TIMING_SCHEMAS = ("rn-bench-timing-v1", "rn-bench-timing-v2",
                   "rn-bench-timing-v3", "rn-bench-timing-v4",
-                  "rn-bench-timing-v5", "rn-bench-timing-v6")
+                  "rn-bench-timing-v5", "rn-bench-timing-v6",
+                  "rn-bench-timing-v7")
 
 
 def load_metrics(path: str) -> tuple[dict[str, float], int | None]:

@@ -8,9 +8,12 @@
 // flag), installs the dist session as the trial observer, and runs the
 // ordinary suite driver: declarative trials execute on the fleet, each rank
 // holding only its partitioned CSR slice. Results JSON is byte-identical to
-// bench_suite at any --ranks / --intra-trial-threads; the timing sidecar is
-// rn-bench-timing-v6 with per-rank peak RSS, transport byte counts,
-// coordinator merge time, and the recovery counters.
+// bench_suite at any --ranks / --intra-trial-threads; the rn-bench-timing-v7
+// sidecar gains per-rank peak RSS, transport byte counts, coordinator merge
+// time, and the recovery counters.
+//
+//   --ranks N               worker ranks, 1..32 (default 4)
+//   --intra-trial-threads N partition_walker threads per rank, 1..32 (1)
 //
 // Supervision flags (dist/supervisor.h; values in milliseconds / attempts):
 //
@@ -30,7 +33,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -39,52 +41,6 @@
 #include "experiments/experiments.h"
 #include "sim/cli.h"
 #include "sim/engine.h"
-
-namespace {
-
-/// Extracts "--flag N" from args (erasing it); returns fallback when absent.
-bool take_value_flag(std::vector<char*>& args, const std::string& flag,
-                     unsigned& out) {
-  for (std::size_t i = 1; i + 1 < args.size(); ++i) {
-    if (flag != args[i]) continue;
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(args[i + 1], &end, 10);
-    if (end == nullptr || *end != '\0') {
-      std::cerr << "bad value for " << flag << ": " << args[i + 1] << "\n";
-      std::exit(2);
-    }
-    out = static_cast<unsigned>(v);
-    args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-               args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    return true;
-  }
-  return false;
-}
-
-/// Extracts "--flag TEXT" from args (erasing it); returns fallback when
-/// absent.
-bool take_string_flag(std::vector<char*>& args, const std::string& flag,
-                      std::string& out) {
-  for (std::size_t i = 1; i + 1 < args.size(); ++i) {
-    if (flag != args[i]) continue;
-    out = args[i + 1];
-    args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
-               args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
-    return true;
-  }
-  return false;
-}
-
-/// Peeks (without erasing — run_suite consumes it too) at a numeric flag.
-unsigned peek_value_flag(const std::vector<char*>& args,
-                         const std::string& flag, unsigned fallback) {
-  for (std::size_t i = 1; i + 1 < args.size(); ++i)
-    if (flag == args[i])
-      return static_cast<unsigned>(std::strtoul(args[i + 1], nullptr, 10));
-  return fallback;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   // Hidden worker entry: the coordinator re-execs this binary per rank.
@@ -95,23 +51,12 @@ int main(int argc, char** argv) {
   }
 
   std::vector<char*> args(argv, argv + argc);
-  unsigned ranks = 4;
-  take_value_flag(args, "--ranks", ranks);
+  rn::dist::session_options opt;
+  opt.ranks = 4;
+  if (!rn::dist::take_launcher_flags(args, opt)) return 2;
 
   rn::bench::register_all();
 
-  rn::dist::session_options opt;
-  opt.ranks = ranks;
-  take_value_flag(args, "--round-deadline-ms", opt.policy.round_deadline_ms);
-  take_value_flag(args, "--setup-deadline-ms", opt.policy.setup_deadline_ms);
-  take_value_flag(args, "--max-respawns", opt.policy.max_respawns);
-  take_value_flag(args, "--backoff-ms", opt.policy.backoff_base_ms);
-  take_string_flag(args, "--fault-plan", opt.fault_plan);
-  // In distributed mode the intra-trial knob applies worker-side (the
-  // coordinator's networks delegate their walks); run_suite still parses
-  // the flag for the local fallback paths.
-  opt.intra_trial_threads =
-      std::max(1u, peek_value_flag(args, "--intra-trial-threads", 1));
   // Re-exec through /proc/self/exe so the fleet runs this exact binary
   // regardless of how it was invoked.
   opt.worker_exec = "/proc/self/exe";
@@ -119,7 +64,6 @@ int main(int argc, char** argv) {
   rn::dist::session session(opt);
   session.install();
   rn::sim::set_timing_extension([&session](rn::sim::json_value& timing) {
-    timing["schema"] = "rn-bench-timing-v6";
     timing["ranks"] = static_cast<std::uint64_t>(session.ranks());
     const rn::dist::session_totals t = session.totals();
     rn::sim::json_value per_rank = rn::sim::json_value::array();
@@ -136,7 +80,7 @@ int main(int argc, char** argv) {
     timing["dist_bytes_received"] = t.bytes_received;
     timing["dist_merge_wall_ms"] = t.merge_wall_ms;
     timing["dist_trials"] = t.trials;
-    // v6: recovery observability — zero across the board on a healthy run.
+    // Recovery observability — zero across the board on a healthy run.
     timing["dist_rounds"] = t.rounds;
     timing["dist_rank_restarts"] = t.rank_restarts;
     timing["dist_reassigned_blocks"] = t.reassigned_blocks;

@@ -828,9 +828,8 @@ def collect_files(
         return [Path(f).resolve() for f in explicit]
     files: set[Path] = set()
     if compile_commands:
-        # The build dir defines the TU set (e.g. build-nosimd drops the
-        # per-ISA SIMD TUs); headers are globbed on top since they are not
-        # TUs but still carry contract-relevant code.
+        # The build dir defines the TU set; headers are globbed on top since
+        # they are not TUs but still carry contract-relevant code.
         for tu in compile_commands:
             try:
                 tu.relative_to(root)
