@@ -6,19 +6,25 @@
 
 namespace rn::core {
 
-assignment_problem::assignment_problem(config c) : cfg_(std::move(c)) {
+assignment_problem::assignment_problem(config c)
+    : cfg_(std::move(c)), coins_(decay_exponent{cfg_.L + 1}) {
   RN_REQUIRE(cfg_.g != nullptr && cfg_.st != nullptr, "graph/state required");
-  const std::size_t n = cfg_.g->node_count();
   auto& st = *cfg_.st;
+  const std::size_t nb = cfg_.blue_layer_nodes.size();
 
-  is_blue_.assign(n, 0);
-  is_red_.assign(n, 0);
-  red_active_.assign(n, 0);
-  red_loner_parent_.assign(n, 0);
-  red_brisk_.assign(n, 0);
-  blue_is_loner_.assign(n, 0);
-  adopt_eligible_.assign(n, 0);
-  rng_idx_.assign(n, -1);
+  node_ = cfg_.blue_layer_nodes;
+  node_.insert(node_.end(), cfg_.red_layer_nodes.begin(),
+               cfg_.red_layer_nodes.end());
+  local_.assign(node_);  // rejects a node listed in both layers
+  const std::size_t m = node_.size();
+  is_blue_.assign(m, 0);
+  is_red_.assign(m, 0);
+  red_active_.assign(m, 0);
+  red_loner_parent_.assign(m, 0);
+  red_brisk_.assign(m, 0);
+  blue_is_loner_.assign(m, 0);
+  blue_temp_this_epoch_.assign(m, 0);
+  adopt_eligible_.assign(m, 0);
   coin_ = rng::for_stream(cfg_.seed, 0xc01ceeeULL);
 
   // Childless blues reach the lowest rank phase unranked; rank 1 is exactly
@@ -27,34 +33,26 @@ assignment_problem::assignment_problem(config c) : cfg_(std::move(c)) {
     for (node_id v : cfg_.blue_layer_nodes)
       if (!st.assigned[v] && st.rank[v] == no_rank) st.rank[v] = 1;
   }
-  for (node_id v : cfg_.blue_layer_nodes) {
+  for (std::uint32_t b = 0; b < nb; ++b) {
+    const node_id v = node_[b];
     if (!st.assigned[v] && st.rank[v] == cfg_.target_rank) {
-      blues_.push_back(v);
-      is_blue_[v] = 1;
+      blues_.push_back(b);
+      is_blue_[b] = 1;
     }
   }
-  for (node_id v : cfg_.red_layer_nodes) {
-    if (st.rank[v] == no_rank) {
-      red_candidates_.push_back(v);
-      is_red_[v] = 1;
+  for (std::uint32_t r = static_cast<std::uint32_t>(nb); r < m; ++r) {
+    if (st.rank[node_[r]] == no_rank) {
+      red_candidates_.push_back(r);
+      is_red_[r] = 1;
     }
   }
-  for (node_id v : cfg_.blue_layer_nodes) {
-    rng_idx_[v] = static_cast<std::int32_t>(rng_.size());
-    rng_.push_back(rng::for_stream(cfg_.seed, v));
-  }
-  for (node_id v : cfg_.red_layer_nodes) {
-    if (rng_idx_[v] < 0) {
-      rng_idx_[v] = static_cast<std::int32_t>(rng_.size());
-      rng_.push_back(rng::for_stream(cfg_.seed, v));
-    }
-  }
-  enter(sub_phase::p0_ident);
-}
-
-rng& assignment_problem::node_rng(node_id v) {
-  RN_REQUIRE(rng_idx_[v] >= 0, "node has no rng stream in this problem");
-  return rng_[static_cast<std::size_t>(rng_idx_[v])];
+  rng_.reserve(m);
+  for (node_id v : node_) rng_.push_back(rng::for_stream(cfg_.seed, v));
+  if (blues_.empty())  // no blue can announce, so no red becomes active
+    go_idle(rounds_required(cfg_.L, cfg_.decay_phases, cfg_.epochs,
+                            cfg_.recruit_iterations));
+  else
+    enter(sub_phase::p0_ident);
 }
 
 round_t assignment_problem::rounds_required(int L, int decay_phases,
@@ -70,13 +68,23 @@ void assignment_problem::enter(sub_phase s) {
   phase_pos_ = 0;
   switch (s) {
     case sub_phase::p0_ident:
+      // Every blue announces itself.
       rounds_left_ = decay_rounds();
+      coins_.open(rounds_left_);
+      for (auto b : blues_) coins_.add(b, rng_[b]);
       break;
     case sub_phase::s1_probe:
       rounds_left_ = 1;
       break;
     case sub_phase::s1_decay:
+      // Unassigned loner blues announce themselves. Both flags are fixed
+      // until part 1 ends: loners are marked in the probe round, and only
+      // this problem assigns its blues, at part ends and in finish_problem.
       rounds_left_ = decay_rounds();
+      coins_.open(rounds_left_);
+      for (auto b : blues_)
+        if (blue_is_loner_[b] && !cfg_.st->assigned[node_[b]])
+          coins_.add(b, rng_[b]);
       break;
     case sub_phase::part1:
     case sub_phase::part2:
@@ -85,7 +93,13 @@ void assignment_problem::enter(sub_phase s) {
           cfg_.L, cfg_.recruit_iterations);
       break;
     case sub_phase::s3_adopt:
+      // Stage-III announcers, fixed by the part results.
       rounds_left_ = decay_rounds();
+      coins_.open(rounds_left_);
+      for (std::size_t a = 0; a < announcers_.size(); ++a)
+        coins_.add(static_cast<std::uint32_t>(a), rng_[announcers_[a].first]);
+      break;
+    case sub_phase::idle:
       break;
     case sub_phase::done:
       rounds_left_ = 0;
@@ -93,15 +107,30 @@ void assignment_problem::enter(sub_phase s) {
   }
 }
 
-void assignment_problem::start_epoch() {
+void assignment_problem::go_idle(round_t remaining) {
+  enter(sub_phase::idle);
+  rounds_left_ = remaining;
+  epoch_active_reds_.resize(static_cast<std::size_t>(cfg_.epochs), 0);
+}
+
+void assignment_problem::begin_epoch() {
   std::size_t active = 0;
-  for (node_id v : red_candidates_)
-    if (red_active_[v]) ++active;
+  for (auto r : red_candidates_)
+    if (red_active_[r]) ++active;
   epoch_active_reds_.push_back(active);
-  for (node_id v : red_candidates_) red_loner_parent_[v] = 0;
-  for (node_id u : blues_) blue_is_loner_[u] = 0;
+  for (auto r : red_candidates_) red_loner_parent_[r] = 0;
+  // Temporary pairs of the previous epoch dissolve (lone-child reds stay
+  // active); temporary children are always blues of this problem.
+  for (auto b : blues_) {
+    blue_is_loner_[b] = 0;
+    blue_temp_this_epoch_[b] = 0;
+  }
   temp_pairs_.clear();
   announcers_.clear();
+  if (active == 0)
+    go_idle(static_cast<round_t>(cfg_.epochs - epoch_) * epoch_rounds());
+  else
+    enter(sub_phase::s1_probe);
 }
 
 void assignment_problem::build_part(int part) {
@@ -113,15 +142,23 @@ void assignment_problem::build_part(int part) {
   rc.seed = cfg_.seed * 1315423911ULL + static_cast<std::uint64_t>(epoch_) * 31 +
             static_cast<std::uint64_t>(part);
   auto& st = *cfg_.st;
-  for (node_id v : red_candidates_) {
-    if (!red_active_[v]) continue;
-    const bool in_part = (part == 1 && red_loner_parent_[v]) ||
-                         (part == 2 && !red_loner_parent_[v] && red_brisk_[v]) ||
-                         (part == 3 && !red_loner_parent_[v] && !red_brisk_[v]);
-    if (in_part) rc.reds.push_back(v);
+  part_reds_.clear();
+  part_blues_.clear();
+  for (auto r : red_candidates_) {
+    if (!red_active_[r]) continue;
+    const bool in_part = (part == 1 && red_loner_parent_[r]) ||
+                         (part == 2 && !red_loner_parent_[r] && red_brisk_[r]) ||
+                         (part == 3 && !red_loner_parent_[r] && !red_brisk_[r]);
+    if (in_part) {
+      part_reds_.push_back(r);
+      rc.reds.push_back(node_[r]);
+    }
   }
-  for (node_id u : blues_) {
-    if (!st.assigned[u] && !blue_temp_this_epoch_[u]) rc.blues.push_back(u);
+  for (auto b : blues_) {
+    if (!st.assigned[node_[b]] && !blue_temp_this_epoch_[b]) {
+      part_blues_.push_back(b);
+      rc.blues.push_back(node_[b]);
+    }
   }
   recruit_ = std::make_unique<recruiting_instance>(std::move(rc));
 }
@@ -129,9 +166,10 @@ void assignment_problem::build_part(int part) {
 void assignment_problem::apply_part_results(int part) {
   auto& st = *cfg_.st;
   const rank_t i = cfg_.target_rank;
-  for (node_id u : recruit_->blues()) {
-    const auto b = recruit_->blue(u);
+  for (std::size_t k = 0; k < part_blues_.size(); ++k) {
+    const auto b = recruit_->blue_at(k);
     if (!b.recruited) continue;
+    const node_id u = node_[part_blues_[k]];
     const bool many = b.parent_class == recruiting_instance::klass::many;
     if (part == 1 || many) {
       // Permanent: part-1 recruits unconditionally, otherwise many-children.
@@ -139,35 +177,37 @@ void assignment_problem::apply_part_results(int part) {
       st.parent[u] = b.parent;
       st.parent_rank[u] = many ? i + 1 : i;
     } else {
-      blue_temp_this_epoch_[u] = 1;
+      blue_temp_this_epoch_[part_blues_[k]] = 1;
       temp_pairs_.push_back({b.parent, u});
     }
   }
   // Reds of this part: loner-parents (part 1) always mark; parts 2/3 mark on
   // class none/many. Lone-child reds of parts 2/3 stay active.
-  for (node_id v : recruit_->reds()) {
-    const auto r = recruit_->red(v);
+  for (std::size_t k = 0; k < part_reds_.size(); ++k) {
+    const auto r = recruit_->red_at(k);
+    const auto lr = part_reds_[k];
+    const node_id v = node_[lr];
     const bool solo = r.k == recruiting_instance::klass::solo;
     const bool many = r.k == recruiting_instance::klass::many;
     if (part == 1) {
-      red_active_[v] = 0;  // loner-parents retire after this epoch
+      red_active_[lr] = 0;  // loner-parents retire after this epoch
       if (solo) {
         st.rank[v] = i;
         st.stretch_child[v] = r.solo_child;
-        announcers_.push_back({v, i});
+        announcers_.push_back({lr, i});
       } else if (many) {
         st.rank[v] = i + 1;
-        announcers_.push_back({v, static_cast<rank_t>(i + 1)});
+        announcers_.push_back({lr, static_cast<rank_t>(i + 1)});
       }
       // klass none: marked but unranked; it may still become a parent in a
       // lower rank phase.
     } else {
       if (many) {
-        red_active_[v] = 0;
+        red_active_[lr] = 0;
         st.rank[v] = i + 1;
-        announcers_.push_back({v, static_cast<rank_t>(i + 1)});
+        announcers_.push_back({lr, static_cast<rank_t>(i + 1)});
       } else if (!solo) {  // klass none: marked, retire unranked
-        red_active_[v] = 0;
+        red_active_[lr] = 0;
       }
     }
   }
@@ -178,8 +218,9 @@ void assignment_problem::stage3_computations() {
   // strictly below i — at this point in the pipeline any still-unranked node
   // of this layer can only end with rank < i.
   auto& st = *cfg_.st;
-  for (node_id v : cfg_.blue_layer_nodes) {
-    adopt_eligible_[v] = !st.assigned[v] && !is_blue_[v] &&
+  for (std::uint32_t b = 0; b < cfg_.blue_layer_nodes.size(); ++b) {
+    const node_id v = node_[b];
+    adopt_eligible_[b] = !st.assigned[v] && !is_blue_[b] &&
                          (st.rank[v] == no_rank || st.rank[v] < cfg_.target_rank);
   }
 }
@@ -197,7 +238,8 @@ void assignment_problem::finish_problem() {
     st.stretch_child[tp.red] = tp.blue;
     st.fallback_finalizations += 1;
   }
-  for (node_id u : blues_) {
+  for (auto b : blues_) {
+    const node_id u = node_[b];
     if (st.assigned[u]) continue;
     // Adopt any red-layer neighbor: prefer already-ranked higher ones, then
     // unranked ones (which become rank-i parents), and as a last resort a
@@ -315,89 +357,78 @@ void assignment_problem::finish_problem() {
 
 void assignment_problem::plan(radio::round_buffer& out) {
   if (finished()) return;
-  auto& st = *cfg_.st;
+  const auto stream = [&](std::uint32_t who) -> rng& { return rng_[who]; };
   switch (sub_) {
-    case sub_phase::p0_ident: {
+    case sub_phase::p0_ident:
       // Blues announce themselves so reds learn whether they participate.
-      const int e = static_cast<int>(phase_pos_ % (cfg_.L + 1));
-      for (node_id u : blues_) {
-        if (node_rng(u).with_probability_pow2(e))
-          out.add_owned(u, radio::packet::make_beacon(u));
-      }
+    case sub_phase::s1_decay:
+      // Loners announce themselves so their red becomes a loner-parent.
+      coins_.fire(phase_pos_, stream, [&](std::uint32_t b) {
+        out.add_owned(node_[b], radio::packet::make_beacon(node_[b]));
+      });
       break;
-    }
-    case sub_phase::s1_probe: {
-      if (phase_pos_ == 0) start_epoch();
-      for (node_id v : red_candidates_)
-        if (red_active_[v])
-          out.add_owned(v, radio::packet::make_beacon(v));
+    case sub_phase::s1_probe:
+      for (auto r : red_candidates_)
+        if (red_active_[r])
+          out.add_owned(node_[r], radio::packet::make_beacon(node_[r]));
       break;
-    }
-    case sub_phase::s1_decay: {
-      const int e = static_cast<int>(phase_pos_ % (cfg_.L + 1));
-      for (node_id u : blues_) {
-        if (blue_is_loner_[u] && !st.assigned[u] &&
-            node_rng(u).with_probability_pow2(e))
-          out.add_owned(u, radio::packet::make_beacon(u));
-      }
-      break;
-    }
     case sub_phase::part1:
     case sub_phase::part2:
     case sub_phase::part3:
       recruit_->plan(out);
       break;
-    case sub_phase::s3_adopt: {
-      const int e = static_cast<int>(phase_pos_ % (cfg_.L + 1));
-      for (const auto& [v, rk] : announcers_) {
-        if (node_rng(v).with_probability_pow2(e))
-          out.add_owned(v, radio::packet::make_rank(v, rk));
-      }
+    case sub_phase::s3_adopt:
+      coins_.fire(
+          phase_pos_,
+          [&](std::uint32_t a) -> rng& { return rng_[announcers_[a].first]; },
+          [&](std::uint32_t a) {
+            const auto [r, rk] = announcers_[a];
+            out.add_owned(node_[r], radio::packet::make_rank(node_[r], rk));
+          });
       break;
-    }
+    case sub_phase::idle:
     case sub_phase::done:
       break;
   }
 }
 
 void assignment_problem::on_reception(const radio::reception& rx) {
-  if (finished()) return;
+  if (sub_ == sub_phase::idle || finished()) return;
+  if (sub_ == sub_phase::part1 || sub_ == sub_phase::part2 ||
+      sub_ == sub_phase::part3) {
+    recruit_->on_reception(rx);
+    return;
+  }
+  if (rx.what != radio::observation::message) return;
+  const auto l = local_.find(rx.listener);
+  if (l < 0) return;
+  const auto me = static_cast<std::size_t>(l);
   auto& st = *cfg_.st;
+  const auto kind = rx.pkt->kind;
   switch (sub_) {
     case sub_phase::p0_ident:
-      if (rx.what == radio::observation::message &&
-          rx.pkt->kind == radio::packet_kind::beacon && is_red_[rx.listener])
-        red_active_[rx.listener] = 1;
+      if (kind == radio::packet_kind::beacon && is_red_[me]) red_active_[me] = 1;
       break;
     case sub_phase::s1_probe:
       // A blue that *receives a message* has exactly one active red neighbor.
-      if (rx.what == radio::observation::message &&
-          rx.pkt->kind == radio::packet_kind::beacon &&
-          is_blue_[rx.listener] && !st.assigned[rx.listener])
-        blue_is_loner_[rx.listener] = 1;
+      if (kind == radio::packet_kind::beacon && is_blue_[me] &&
+          !st.assigned[rx.listener])
+        blue_is_loner_[me] = 1;
       break;
     case sub_phase::s1_decay:
-      if (rx.what == radio::observation::message &&
-          rx.pkt->kind == radio::packet_kind::beacon && is_red_[rx.listener] &&
-          red_active_[rx.listener])
-        red_loner_parent_[rx.listener] = 1;
-      break;
-    case sub_phase::part1:
-    case sub_phase::part2:
-    case sub_phase::part3:
-      recruit_->on_reception(rx);
+      if (kind == radio::packet_kind::beacon && is_red_[me] && red_active_[me])
+        red_loner_parent_[me] = 1;
       break;
     case sub_phase::s3_adopt:
-      if (rx.what == radio::observation::message &&
-          rx.pkt->kind == radio::packet_kind::rank_announce &&
-          adopt_eligible_[rx.listener] && !st.assigned[rx.listener]) {
+      if (kind == radio::packet_kind::rank_announce && adopt_eligible_[me] &&
+          !st.assigned[rx.listener]) {
         const node_id u = rx.listener;
         st.assigned[u] = 1;
         st.parent[u] = rx.pkt->a;
         st.parent_rank[u] = static_cast<rank_t>(rx.pkt->x);
       }
       break;
-    case sub_phase::done:
+    default:
       break;
   }
 }
@@ -416,27 +447,17 @@ void assignment_problem::end_round() {
 round_t assignment_problem::quiet_rounds() const {
   switch (sub_) {
     case sub_phase::p0_ident:
-      // Every blue draws an announcement coin each round.
-      return blues_.empty() ? rounds_left_ : 0;
-    case sub_phase::s1_probe: {
-      // Single deterministic round: transmitters are the active reds.
-      for (node_id v : red_candidates_)
-        if (red_active_[v]) return 0;
+    case sub_phase::s1_decay:
+    case sub_phase::s3_adopt:
+      return coins_.busy() - phase_pos_;
+    case sub_phase::s1_probe:
+      return 0;  // an epoch without active reds runs idle instead
+    case sub_phase::idle:
       return rounds_left_;
-    }
-    case sub_phase::s1_decay: {
-      // Only unassigned loner blues flip coins / transmit.
-      for (node_id u : blues_)
-        if (blue_is_loner_[u] && !cfg_.st->assigned[u]) return 0;
-      return rounds_left_;
-    }
     case sub_phase::part1:
     case sub_phase::part2:
     case sub_phase::part3:
       return std::min(rounds_left_, recruit_->quiet_rounds());
-    case sub_phase::s3_adopt:
-      // Only stage-III announcers flip coins / transmit.
-      return announcers_.empty() ? rounds_left_ : 0;
     case sub_phase::done:
       return 0;
   }
@@ -446,8 +467,6 @@ round_t assignment_problem::quiet_rounds() const {
 void assignment_problem::skip_rounds(round_t k) {
   RN_REQUIRE(k >= 0 && k <= rounds_left_, "skip beyond sub-phase");
   if (k == 0 || finished()) return;
-  // Epoch bookkeeping that naive stepping performs inside plan().
-  if (sub_ == sub_phase::s1_probe && phase_pos_ == 0) start_epoch();
   if (sub_ == sub_phase::part1 || sub_ == sub_phase::part2 ||
       sub_ == sub_phase::part3)
     recruit_->skip_rounds(k);
@@ -458,19 +477,17 @@ void assignment_problem::skip_rounds(round_t k) {
 
 void assignment_problem::advance_subphase() {
   switch (sub_) {
-    case sub_phase::p0_ident: {
-      blue_temp_this_epoch_.assign(cfg_.g->node_count(), 0);
-      enter(sub_phase::s1_probe);
+    case sub_phase::p0_ident:
+      begin_epoch();
       break;
-    }
     case sub_phase::s1_probe:
       enter(sub_phase::s1_decay);
       break;
     case sub_phase::s1_decay: {
       // Brisk/lazy split of the active non-loner-parent reds.
-      for (node_id v : red_candidates_)
-        if (red_active_[v] && !red_loner_parent_[v])
-          red_brisk_[v] = coin_.bernoulli(0.5) ? 1 : 0;
+      for (auto r : red_candidates_)
+        if (red_active_[r] && !red_loner_parent_[r])
+          red_brisk_[r] = coin_.bernoulli(0.5) ? 1 : 0;
       build_part(1);
       enter(sub_phase::part1);
       break;
@@ -490,16 +507,16 @@ void assignment_problem::advance_subphase() {
       stage3_computations();
       enter(sub_phase::s3_adopt);
       break;
-    case sub_phase::s3_adopt: {
-      // Epoch end: temporary pairs dissolve (lone-child reds stay active).
+    case sub_phase::s3_adopt:
       ++epoch_;
-      blue_temp_this_epoch_.assign(cfg_.g->node_count(), 0);
       if (epoch_ < cfg_.epochs)
-        enter(sub_phase::s1_probe);
+        begin_epoch();
       else
         finish_problem();
       break;
-    }
+    case sub_phase::idle:
+      finish_problem();
+      break;
     case sub_phase::done:
       break;
   }
@@ -559,6 +576,8 @@ assignment_run_result run_assignment(const graph::graph& g,
     prob.end_round();
   }
   res.rounds = net.stats().rounds;
+  res.transmissions = net.stats().transmissions;
+  res.energy = net.energy();
   for (node_id u : blues)
     if (!st.assigned[u]) res.all_assigned = false;
   res.fallback_finalizations = st.fallback_finalizations;

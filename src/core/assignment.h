@@ -28,6 +28,8 @@
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "core/coin_window.h"
+#include "core/participant_index.h"
 #include "core/recruiting.h"
 #include "graph/graph.h"
 #include "radio/network.h"
@@ -91,12 +93,14 @@ class assignment_problem {
   void end_round();
 
   /// Fast-forward support: number of upcoming consumed rounds guaranteed
-  /// *quiet* — plan() would produce no transmission and draw no randomness,
-  /// provided nothing is received (sound whenever every problem sharing those
-  /// rounds is quiet too, since then nobody transmits at all). Never crosses
-  /// a sub-phase boundary, so sub-phase transition side effects (brisk/lazy
-  /// coins, recruiting part construction) happen exactly where naive stepping
-  /// performs them.
+  /// *quiet* — plan() would produce no transmission, provided nothing is
+  /// received (sound whenever every problem sharing those rounds is quiet
+  /// too, since then nobody transmits at all). The Decay sub-phases draw
+  /// their coins ahead (core/coin_window.h), so a window runs to the next
+  /// heads. Never crosses a sub-phase boundary, so sub-phase transition side
+  /// effects (brisk/lazy coins, recruiting part construction) happen exactly
+  /// where naive stepping performs them; a problem with no active red left
+  /// runs its remaining epochs as one idle sub-phase.
   [[nodiscard]] round_t quiet_rounds() const;
   /// Skips `k` quiet rounds (k <= quiet_rounds()); performs the same
   /// bookkeeping and sub-phase transitions as k empty plan/end_round cycles.
@@ -117,6 +121,13 @@ class assignment_problem {
     part2,
     part3,
     s3_adopt,
+    /// No red is active at an epoch start (or there is no blue at all): no
+    /// red can become active again after P0, so nothing transmits or draws
+    /// until the problem ends, and every later epoch counts 0 active reds.
+    /// Receptions are ignored, which holds naive behaviour only because a
+    /// problem's listeners hear no other problem's transmitters (3-class
+    /// pipelining and ring width >= 3 on a BFS layering).
+    idle,
     done,
   };
 
@@ -126,13 +137,20 @@ class assignment_problem {
   round_t phase_pos_ = 0;  ///< rounds consumed within the current sub-phase
   int epoch_ = 0;
 
-  std::vector<node_id> blues_;          // unassigned rank-i blues
-  std::vector<char> is_blue_;           // indexed by node id
-  std::vector<char> blue_assigned_permanently_;  // index-aligned with blues_
+  // Participants: the blue layer's nodes take local ids 0..nb-1 and the red
+  // layer's nb..nb+nr-1, in config order. Every per-node vector below is
+  // indexed by local id, so a problem's state is sized by its two layers,
+  // never by n.
+  std::vector<node_id> node_;  // local id -> node id
+  participant_index local_;    // node id -> local id
+  std::vector<rng> rng_;       // per local id
+
+  std::vector<std::uint32_t> blues_;  // unassigned rank-i blues
+  std::vector<char> is_blue_;
   std::vector<char> blue_temp_this_epoch_;
   std::vector<char> blue_is_loner_;
 
-  std::vector<node_id> red_candidates_;  // unranked reds at the red layer
+  std::vector<std::uint32_t> red_candidates_;  // unranked reds
   std::vector<char> is_red_;
   std::vector<char> red_active_;       // heard a blue in P0, not yet retired
   std::vector<char> red_loner_parent_;
@@ -143,20 +161,24 @@ class assignment_problem {
   };
   std::vector<temp_pair> temp_pairs_;  // current epoch's lone-child pairs
 
-  std::vector<std::pair<node_id, rank_t>> announcers_;  // stage III (id, rank)
-  std::vector<char> adopt_eligible_;                    // by node id
+  std::vector<std::pair<std::uint32_t, rank_t>> announcers_;  // stage III
+  std::vector<char> adopt_eligible_;
 
   std::unique_ptr<recruiting_instance> recruit_;
-  std::vector<rng> rng_;  // per local participant (blue layer + red layer)
-  std::vector<std::int32_t> rng_idx_;
+  std::vector<std::uint32_t> part_reds_;   // recruit_'s reds, as local ids
+  std::vector<std::uint32_t> part_blues_;  // recruit_'s blues, as local ids
+  /// Coins of the open Decay sub-phase (p0_ident, s1_decay or s3_adopt).
+  coin_window<decay_exponent> coins_;
   std::vector<std::size_t> epoch_active_reds_;
 
   rng coin_;  // brisk/lazy coins (per-red derived streams)
 
-  [[nodiscard]] rng& node_rng(node_id v);
   void enter(sub_phase s);
   void advance_subphase();
-  void start_epoch();
+  /// Epoch start: counts the active reds, dissolves the previous epoch's
+  /// temporary pairs, and enters the probe round, or idles to the end when
+  /// no red is active.
+  void begin_epoch();
   void build_part(int part);
   void apply_part_results(int part);
   void stage3_computations();
@@ -164,12 +186,20 @@ class assignment_problem {
   [[nodiscard]] round_t decay_rounds() const {
     return static_cast<round_t>(cfg_.decay_phases) * (cfg_.L + 1);
   }
+  [[nodiscard]] round_t epoch_rounds() const {
+    return 1 + 2 * decay_rounds() +
+           3 * recruiting_instance::rounds_required(cfg_.L,
+                                                    cfg_.recruit_iterations);
+  }
+  void go_idle(round_t remaining);
 };
 
 /// Standalone driver for tests and experiment E7: solves one rank phase on a
 /// bipartite layered graph and reports per-epoch active-red counts.
 struct assignment_run_result {
   round_t rounds = 0;
+  std::int64_t transmissions = 0;
+  std::vector<std::uint32_t> energy;  ///< per-node transmission counts
   bool all_assigned = true;
   int fallback_finalizations = 0;
   int fallback_adoptions = 0;

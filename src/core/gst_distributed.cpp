@@ -92,8 +92,23 @@ distributed_gst_outcome build_gst_distributed(
   std::vector<active_problem> active;
   std::size_t next_problem = 0;
   std::uint64_t problem_counter = 0;
+  // Reception dispatch index: owner[layer_base[j] + λ] is the active problem
+  // whose blue layer is λ of ring j, or -1. A slot holds at most one problem
+  // per (ring, blue layer), since σ(λ, i) is distinct across ranks i.
+  std::vector<std::size_t> layer_base(rd.rings.size());
+  std::size_t layer_count = 0;
+  for (std::size_t j = 0; j < rd.rings.size(); ++j) {
+    layer_base[j] = layer_count;
+    layer_count += static_cast<std::size_t>(rd.rings[j].depth) + 2;
+  }
+  std::vector<std::int32_t> owner(layer_count, -1);
+  const auto owner_slot = [&](const problem_slot& ps) -> std::int32_t& {
+    return owner[layer_base[static_cast<std::size_t>(ps.ring)] +
+                 static_cast<std::size_t>(ps.blue_level)];
+  };
 
   for (round_t slot = 0; slot <= max_slot; ++slot) {
+    for (const auto& ap : active) owner_slot(ap.meta) = -1;
     active.clear();
     while (next_problem < problems.size() &&
            problems[next_problem].slot == slot) {
@@ -116,6 +131,7 @@ distributed_gst_outcome build_gst_distributed(
       cfg.recruit_iterations = iters;
       cfg.recruit_exp_step = exp_step;
       cfg.seed = opt.seed * 0x9e3779b9ULL + (++problem_counter) * 7919ULL;
+      owner_slot(ps) = static_cast<std::int32_t>(active.size());
       active.push_back(
           {ps, std::make_unique<assignment_problem>(std::move(cfg))});
       ++next_problem;
@@ -178,13 +194,15 @@ distributed_gst_outcome build_gst_distributed(
       net.step(txs, [&](const radio::reception& rx) {
         // Deliver to the unique consuming problem whose layers contain the
         // listener (blue layer λ or red layer λ-1 of the listener's ring).
+        // Problems at blue layers λ and λ+1 never consume the same round.
         const auto ring = st.ring_of[rx.listener];
         if (ring < 0) return;
-        const level_t lv = st.rel_level[rx.listener];
-        for (auto& ap : active) {
-          if (!consumes(ap) || ap.meta.ring != ring) continue;
-          if (ap.meta.blue_level == lv || ap.meta.blue_level == lv + 1) {
-            ap.prob->on_reception(rx);
+        const std::size_t at = layer_base[static_cast<std::size_t>(ring)] +
+                               static_cast<std::size_t>(st.rel_level[rx.listener]);
+        for (const std::size_t layer : {at, at + 1}) {
+          const auto idx = owner[layer];
+          if (idx >= 0 && consumes(active[static_cast<std::size_t>(idx)])) {
+            active[static_cast<std::size_t>(idx)].prob->on_reception(rx);
             return;
           }
         }

@@ -33,6 +33,8 @@
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "core/coin_window.h"
+#include "core/participant_index.h"
 #include "graph/graph.h"
 #include "radio/network.h"
 
@@ -70,12 +72,14 @@ class recruiting_instance {
   void end_round();
 
   /// Fast-forward support: number of upcoming consumed rounds that are
-  /// guaranteed *quiet* — this instance will plan no transmission and draw no
-  /// randomness in them, provided it receives nothing (which holds whenever
-  /// every participant of those rounds is quiet). Two cases: an instance with
-  /// no reds is quiet for its whole remaining run, and an iteration whose
-  /// round-0 beacon fizzled (no red transmitted, no blue heard one) is quiet
-  /// through its remaining L+4 rounds. 0 = the next round must be planned.
+  /// guaranteed *quiet* — this instance will plan no transmission in them,
+  /// provided it receives nothing (which holds whenever every participant of
+  /// those rounds is quiet). Coins are drawn ahead (core/coin_window.h), so
+  /// the window runs to the next round with a planned transmission: the next
+  /// red round-0 heads, the next blue-Decay heads of a live hearer (an
+  /// unrecruited blue that heard a red in round 0), the response and commit
+  /// rounds of an iteration with a round-0 transmitter, and the ack round
+  /// when some blue has an ack due. 0 = the next round must be planned.
   [[nodiscard]] round_t quiet_rounds() const;
   /// Skips `k` quiet rounds (k <= quiet_rounds()) without planning them;
   /// equivalent to k plan/end_round cycles that produce nothing.
@@ -84,17 +88,24 @@ class recruiting_instance {
   struct red_result {
     klass k = klass::none;
     node_id solo_child = no_node;  ///< valid iff k == solo
+    friend bool operator==(const red_result&, const red_result&) = default;
   };
   struct blue_result {
     bool recruited = false;
     node_id parent = no_node;
     klass parent_class = klass::none;  ///< solo or many once recruited
+    friend bool operator==(const blue_result&, const blue_result&) = default;
   };
 
   [[nodiscard]] red_result red(node_id v) const;
   [[nodiscard]] blue_result blue(node_id u) const;
-  [[nodiscard]] const std::vector<node_id>& reds() const { return cfg_.reds; }
-  [[nodiscard]] const std::vector<node_id>& blues() const { return cfg_.blues; }
+  /// Outcomes by position in the config's red / blue lists.
+  [[nodiscard]] red_result red_at(std::size_t i) const {
+    return {red_[i].k, red_[i].solo_child};
+  }
+  [[nodiscard]] blue_result blue_at(std::size_t i) const {
+    return {blue_[i].recruited, blue_[i].parent, blue_[i].parent_class};
+  }
   /// Number of blues not yet recruited.
   [[nodiscard]] std::size_t unrecruited_count() const;
 
@@ -115,16 +126,34 @@ class recruiting_instance {
     bool ack_due = false;
   };
 
+  /// Round-0 exponent: sweeps the Decay ladder, one step every `step`
+  /// iterations, and cycles [DEV-11]. The paper's monotone ramp gives every
+  /// degree class one Theta(log n)-iteration window; cycling gives the same
+  /// windows but recurring, which late recruitment (e.g. growth after an
+  /// early lone echo) needs at small n.
+  struct beacon_exponent {
+    int L = 1;
+    int step = 1;
+    [[nodiscard]] int operator()(round_t iter) const {
+      return 1 + static_cast<int>(iter / step) % L;
+    }
+  };
+
   config cfg_;
   round_t round_ = 0;
-  std::size_t sent_r1_count_ = 0;   ///< reds that transmitted this iteration's round 0
-  std::size_t heard_count_ = 0;     ///< blues that heard a red this iteration
+  std::size_t sent_r1_count_ = 0;  ///< reds that transmitted this iteration's round 0
+  std::size_t acks_due_ = 0;       ///< blues with an ack due this iteration
   std::vector<red_state> red_;
   std::vector<blue_state> blue_;
-  std::vector<std::int32_t> red_idx_;   // node -> index or -1
-  std::vector<std::int32_t> blue_idx_;
+  participant_index red_idx_;
+  participant_index blue_idx_;
   std::vector<rng> red_rng_;
   std::vector<rng> blue_rng_;
+  /// Red round-0 coins over the instance's iterations (the red set is fixed).
+  coin_window<beacon_exponent> beacons_;
+  /// Blue-Decay coins of this iteration's live hearers over rounds 1..L+1
+  /// (the set is fixed from the end of round 0 to round L+2).
+  coin_window<decay_exponent> decay_;
 
   [[nodiscard]] int iteration() const { return static_cast<int>(round_ / (cfg_.L + 5)); }
   [[nodiscard]] int pos_in_iteration() const { return static_cast<int>(round_ % (cfg_.L + 5)); }
@@ -140,6 +169,10 @@ struct recruiting_run_result {
   std::size_t recruited = 0;
   std::size_t blues = 0;
   bool properties_ok = true;  ///< (b)/(c) consistency checks
+  std::int64_t transmissions = 0;
+  std::vector<std::uint32_t> energy;  ///< per-node transmission counts
+  std::vector<recruiting_instance::red_result> red_outcomes;    ///< per red
+  std::vector<recruiting_instance::blue_result> blue_outcomes;  ///< per blue
 };
 [[nodiscard]] recruiting_run_result run_recruiting(
     const graph::graph& g, const std::vector<node_id>& reds,

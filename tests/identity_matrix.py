@@ -7,9 +7,11 @@ results files (the Python equivalent of `cmp`):
 
   * trial-pool threads:  e1 -t 8 at -j 1 and -j 8;
                          e2 -t 8 at -j 1, -j 2 and -j 8;
-  * fast-forward:        e1 and e3 -t 2 -j 2, with and without
-                         --no-fast-forward (e3 is the only experiment that runs
-                         rlnc-unknown-cd);
+  * fast-forward:        e1 and e3 -t 2 -j 2, e6 and e7 (recruiting and the
+                         assignment problem alone), and a small layered ad-hoc
+                         gst-unknown-cd run and rlnc-unknown-cd --messages 4
+                         run, each with and without --no-fast-forward (e3 is
+                         the only experiment that runs rlnc-unknown-cd);
   * distributed backend: the layered n = 10^4 workload through rn_dist at
                          --ranks 1/2/4 x --intra-trial-threads 1/2 against the
                          single-process bench_suite run, plus the rank fields
@@ -27,6 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+SMALL_LAYERED = "layered:depth=12,width=10,edge_prob=0.3"
 LAYERED = [
     "--topology", "layered:depth=50,width=200,edge_prob=0.1",
     "--protocol", "decay,gst-known", "--trials", "4", "--threads", "2",
@@ -72,12 +75,20 @@ def main() -> int:
                    m.run("bench_suite", ["-e", "e2", "-t", "8", "-j", j],
                          f"e2_j{j}.json"))
 
-        for e in ("e1", "e3"):
-            args = ["-e", e, "-t", "2", "-j", "2"]
-            m.same(f"{e} fast-forward vs --no-fast-forward",
-                   m.run("bench_suite", args, f"{e}_ff.json"),
+        fast_forward_cases = [
+            (e, ["-e", e, "-t", "2", "-j", "2"]) for e in ("e1", "e3")
+        ] + [(e, ["-e", e, "-j", "2"]) for e in ("e6", "e7")] + [
+            (name, ["--topology", SMALL_LAYERED, "--protocol", *protocol,
+                    "-t", "4", "-j", "2"])
+            for name, protocol in (
+                ("gst-unknown-cd", ["gst-unknown-cd"]),
+                ("rlnc-unknown-cd", ["rlnc-unknown-cd", "--messages", "4"]))
+        ]
+        for name, args in fast_forward_cases:
+            m.same(f"{name} fast-forward vs --no-fast-forward",
+                   m.run("bench_suite", args, f"{name}_ff.json"),
                    m.run("bench_suite", [*args, "--no-fast-forward"],
-                         f"{e}_naive.json"))
+                         f"{name}_naive.json"))
 
         local = m.run("bench_suite", LAYERED, "dist_local.json")
         for ranks in ("1", "2", "4"):

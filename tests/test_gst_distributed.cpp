@@ -72,8 +72,9 @@ TEST_P(DistributedPropertyTest, ValidOnRandomLayered) {
   // Local knowledge must be self-consistent with the forest.
   const auto& t = out.forests[0];
   for (node_id v = 0; v < g.node_count(); ++v) {
-    if (t.parent[v] != no_node)
+    if (t.parent[v] != no_node) {
       EXPECT_EQ(out.parent_rank[v], t.rank[t.parent[v]]) << "node " << v;
+    }
     const node_id sc = out.stretch_child[v];
     if (sc != no_node) {
       EXPECT_EQ(t.parent[sc], v);

@@ -13,6 +13,7 @@
 #include "core/params.h"
 #include "dist/session.h"
 #include "graph/topology.h"
+#include "sim/adhoc.h"
 #include "sim/cli.h"
 #include "sim/engine.h"
 #include "sim/experiment.h"
@@ -519,6 +520,51 @@ TEST(Cli, DistLauncherFlagsLeaveTheRestForBenchSuite) {
   EXPECT_EQ(opt.intra_trial_threads, 2u);
   EXPECT_EQ(opt.policy.backoff_base_ms, 10u);
   EXPECT_EQ(opt.fault_plan, "kill:rank=1,trial=0,round=3");
+}
+
+// rn_serve caches results under canonical_run_key, so its bytes are part of
+// the service contract: these keys are pinned verbatim.
+TEST(AdhocKey, PinnedBytesForSweepsAndDefaults) {
+  const std::string opts =
+      "options=opt-v1:decay_phase_mult=1,recruit_iter_mult=1,"
+      "recruit_exp_step_mult=1,epoch_mult=2,schedule_slack=2,fec_overhead=2;";
+  adhoc_spec layered;
+  layered.topology = "layered:width=8,depth=12,edge_prob=0.25";
+  layered.protocols = "decay,gst-known";
+  layered.sweep = "depth=4,8,16";
+  EXPECT_EQ(canonical_run_key(layered, 8, 3),
+            "topology=layered:depth=12,edge_prob=0.25,width=8;"
+            "protocols=decay,gst-known;sweep=depth=4,8,16;messages=1;" +
+                opts + "trials=8;seed=3");
+
+  adhoc_spec gnp;
+  gnp.topology = "gnp:p=0.05,n=200";
+  gnp.protocols = "rlnc-unknown-cd";
+  gnp.sweep = "p=0.01,0.125,0.5";
+  gnp.messages = 4;
+  EXPECT_EQ(canonical_run_key(gnp, 2, 7919),
+            "topology=gnp:n=200,p=0.05;protocols=rlnc-unknown-cd;"
+            "sweep=p=0.01,0.125,0.5;messages=4;" +
+                opts + "trials=2;seed=7919");
+
+  adhoc_spec path;
+  path.topology = "path:n=64";
+  EXPECT_EQ(canonical_run_key(path, 4, 1),
+            "topology=path:n=64;protocols=decay;sweep=;messages=1;" + opts +
+                "trials=4;seed=1");
+}
+
+TEST(AdhocKey, TopologyParamOrderDoesNotMatter) {
+  adhoc_spec a;
+  a.topology = "layered:width=8,depth=12,edge_prob=0.25";
+  a.sweep = "depth=4,8,16";
+  adhoc_spec b = a;
+  b.topology = "layered:edge_prob=0.25,depth=12,width=8";
+  adhoc_spec c = a;
+  c.topology = "layered:depth=12,width=8,edge_prob=0.25";
+  EXPECT_EQ(canonical_run_key(a, 8, 3), canonical_run_key(b, 8, 3));
+  EXPECT_EQ(canonical_run_key(a, 8, 3), canonical_run_key(c, 8, 3));
+  EXPECT_NE(canonical_run_key(a, 8, 3), canonical_run_key(a, 8, 4));
 }
 
 }  // namespace

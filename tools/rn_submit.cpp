@@ -1,6 +1,6 @@
 // rn_submit — thin client for the rn_serve daemon.
 //
-//   rn_submit --socket /tmp/rn.sock --topology layered:depth=12,width=8 \
+//   rn_submit --socket /tmp/rn.sock --topology layered:depth=12,width=8
 //             --protocol decay --trials 8 --seed 1 --json out.json
 //   rn_submit --socket /tmp/rn.sock --experiment e1 --trials 2
 //   rn_submit --socket /tmp/rn.sock --metrics
